@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .config import Config
 from .errors import CascadeFormatError, InputError, ParameterError
 
 IOU_GROUPING_THRESHOLD = 0.3
@@ -150,7 +151,7 @@ class WindowResult(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DetectParams:
+class DetectParams(Config):
     scale_factor: float = 1.1
     step: int = 2
     min_size: int = 24

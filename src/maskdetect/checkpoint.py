@@ -13,51 +13,31 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .nn import BackboneConfig, HeadConfig, Model
 
 MAGIC = b"MPC1"
 FORMAT_VERSION = 1
 
 
-def _entry_count(shape) -> int:
-    n = 1
-    for s in shape:
-        n *= int(s)
-    return n
-
-
 def save_checkpoint(model: Model, path) -> None:
     """Write the model's full state (weights, buffers, configs) to ``path``."""
+    states = [(p.name, "param", p.data, {"trainable": bool(p.trainable)})
+              for p in model.parameters()]
+    states += [(name, "buffer", buf, {}) for name, buf in model.buffers()]
     entries = []
     blobs = []
     offset = 0
-    for p in model.parameters():
-        arr = np.ascontiguousarray(p.data, dtype="<f4")
-        entries.append({
-            "name": p.name,
-            "kind": "param",
-            "shape": list(arr.shape),
-            "dtype": "f32",
-            "offset": offset,
-            "trainable": bool(p.trainable),
-        })
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    for name, buf in model.buffers():
-        arr = np.ascontiguousarray(buf, dtype="<f4")
-        entries.append({
-            "name": name,
-            "kind": "buffer",
-            "shape": list(arr.shape),
-            "dtype": "f32",
-            "offset": offset,
-        })
+    for name, kind, data, extra in states:
+        arr = np.ascontiguousarray(data, dtype="<f4")
+        entries.append({"name": name, "kind": kind, "shape": list(arr.shape),
+                        "dtype": "f32", "offset": offset, **extra})
         blobs.append(arr.tobytes())
         offset += arr.nbytes
     header = {
@@ -76,6 +56,30 @@ def save_checkpoint(model: Model, path) -> None:
             f.write(blob)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _entry_problem(e) -> str | None:
+    """What is wrong with one manifest entry's schema, or None."""
+    if not isinstance(e, dict):
+        return "must be an object"
+    if not isinstance(e.get("name"), str):
+        return f"name must be a string, got {e.get('name')!r}"
+    if e.get("kind") not in ("param", "buffer"):
+        return f"kind must be 'param' or 'buffer', got {e.get('kind')!r}"
+    if e.get("dtype") != "f32":
+        return f"dtype must be 'f32', got {e.get('dtype')!r}"
+    shape = e.get("shape")
+    if not isinstance(shape, list) or not all(_is_int(s) and s >= 0 for s in shape):
+        return f"shape must be a list of non-negative integers, got {shape!r}"
+    if not _is_int(e.get("offset")) or e["offset"] < 0:
+        return f"offset must be a non-negative integer, got {e.get('offset')!r}"
+    if not isinstance(e.get("trainable", True), bool):
+        return f"trainable must be a boolean, got {e['trainable']!r}"
+    return None
+
+
 def _read(path) -> tuple[dict, bytes]:
     path = Path(path)
     try:
@@ -91,21 +95,30 @@ def _read(path) -> tuple[dict, bytes]:
         header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header must be a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version!r}")
     for key in ("backbone", "head", "seed", "entries"):
         if key not in header:
             raise CheckpointError(f"{path}: header is missing {key!r}")
+    if not _is_int(header["seed"]):
+        raise CheckpointError(f"{path}: seed must be an integer, got {header['seed']!r}")
+    if not isinstance(header["entries"], list):
+        raise CheckpointError(f"{path}: entries must be a list")
+    for i, e in enumerate(header["entries"]):
+        problem = _entry_problem(e)
+        if problem:
+            raise CheckpointError(f"{path}: entry {i}: {problem}")
     payload = raw[8 + hlen :]
     names = [e["name"] for e in header["entries"]]
     if len(names) != len(set(names)):
         raise CheckpointError(f"{path}: duplicate entry names in manifest")
     total = 0
     for e in header["entries"]:
-        count = _entry_count(e["shape"])
-        end = e["offset"] + 4 * count
-        if e["offset"] < 0 or end > len(payload):
+        end = e["offset"] + 4 * math.prod(e["shape"])
+        if end > len(payload):
             raise CheckpointError(
                 f"{path}: entry {e['name']!r} spans bytes {e['offset']}..{end}, "
                 f"payload has {len(payload)}"
@@ -124,8 +137,8 @@ def read_header(path) -> dict:
     return header
 
 
-def _extract(entry: dict, payload: bytes, path) -> np.ndarray:
-    count = _entry_count(entry["shape"])
+def _extract(entry: dict, payload: bytes) -> np.ndarray:
+    count = math.prod(entry["shape"])
     arr = np.frombuffer(payload, dtype="<f4", count=count, offset=entry["offset"])
     return arr.reshape(entry["shape"]).astype(np.float32)
 
@@ -140,7 +153,10 @@ def load_into(model: Model, path, prefix: str | None = None) -> None:
     that prefix take part, on both sides — the way a pretrained feature
     extractor is adopted under a differently shaped head.
     """
-    header, payload = _read(path)
+    _load_state(model, *_read(path), path, prefix)
+
+
+def _load_state(model: Model, header: dict, payload: bytes, path, prefix: str | None) -> None:
     by_name = {e["name"]: e for e in header["entries"]}
     targets = [(p.name, "param", p.data) for p in model.parameters()]
     targets += [(name, "buffer", buf) for name, buf in model.buffers()]
@@ -169,7 +185,7 @@ def load_into(model: Model, path, prefix: str | None = None) -> None:
                 f"{path}: entry {name!r} has shape {tuple(entry['shape'])}, "
                 f"model wants {dest.shape}"
             )
-        staged.append((dest, _extract(entry, payload, path)))
+        staged.append((dest, _extract(entry, payload)))
     for dest, values in staged:
         dest[...] = values
 
@@ -181,12 +197,12 @@ def load_checkpoint(path) -> Model:
     try:
         backbone = BackboneConfig.from_dict(header["backbone"])
         head = HeadConfig.from_dict(header["head"])
-    except (TypeError, ValueError) as e:
+    except ConfigError as e:
         raise CheckpointError(f"{path}: bad architecture config: {e}") from e
-    model = Model(backbone, head, seed=int(header["seed"]))
-    load_into(model, path)
+    model = Model(backbone, head, seed=header["seed"])
+    _load_state(model, header, payload, path, None)
     flags = {e["name"]: e.get("trainable", True) for e in header["entries"]
              if e["kind"] == "param"}
     for p in model.parameters():
-        p.trainable = bool(flags[p.name])
+        p.trainable = flags[p.name]
     return model

@@ -10,8 +10,8 @@ Seven subcommands cover the full workflow::
     maskdetect detect   --image F.ppm     face boxes from a sliding-window cascade
     maskdetect annotate --image F.ppm     detect + classify + draw boxes
 
-Configuration is a JSON document with sections ``data``, ``backbone``,
-``head``, ``train``, ``detect`` and ``output``.  Every scalar leaf can be
+Configuration is a JSON document shaped like :class:`RunConfig`, which
+every command that takes ``--config`` reads whole.  Every scalar leaf can be
 overridden on the command line with a dotted flag (``--train.batch_size 16``,
 ``--backbone.width_mult 0.5``); list-valued leaves (split ratios, stem widths,
 zoom range) can only be changed through a config file.  Precedence is
@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .cascade import (
     to_grayscale,
 )
 from .checkpoint import load_checkpoint, load_into, save_checkpoint
+from .config import Config, parse_text, scalar_leaves
 from .data import (
     LABEL_NAMES,
     SPLIT_NAMES,
@@ -86,112 +88,58 @@ _USAGE_ERRORS = (ConfigError, UsageError, InputError, ParameterError)
 
 
 # ---------------------------------------------------------------------------
-# run configuration: defaults, dotted-flag overrides, merge
+# run configuration: one dataclass, overlaid by the config file then flags
 # ---------------------------------------------------------------------------
 
 
-def default_config() -> dict:
+@dataclass(frozen=True)
+class DataSection(Config):
+    layout: str = "native"
+    split_seed: int = 0
+    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
+
+
+@dataclass(frozen=True)
+class OutputSection(Config):
+    save_best: bool = True
+
+
+@dataclass(frozen=True)
+class RunConfig(Config):
+    """Everything one command reads; the JSON config file has this shape."""
+
+    data: DataSection = field(default_factory=DataSection)
+    backbone: BackboneConfig = field(default_factory=desk_backbone)
+    head: HeadConfig = field(default_factory=HeadConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    detect: DetectParams = field(default_factory=DetectParams)
+    output: OutputSection = field(default_factory=OutputSection)
+
+
+def default_config() -> RunConfig:
     """The built-in run configuration (desk-scale model, standard recipe)."""
-    return {
-        "data": {
-            "layout": "native",
-            "split_seed": 0,
-            "ratios": [0.70, 0.15, 0.15],
-        },
-        "backbone": desk_backbone().to_dict(),
-        "head": HeadConfig().to_dict(),
-        "train": TrainConfig().to_dict(),
-        "detect": {
-            "scale_factor": 1.1,
-            "step": 2,
-            "min_size": 24,
-            "min_neighbors": 3,
-        },
-        "output": {
-            "save_best": True,
-        },
-    }
+    return RunConfig()
 
 
-def config_leaves(config: dict, prefix: str = "") -> dict:
-    """Dotted paths of every scalar leaf, mapped to its value.
-
-    Lists never appear: they stay config-file only because a flag value
-    has no unambiguous list syntax worth inventing.
-    """
-    out = {}
-    for key, value in config.items():
-        dotted = f"{prefix}{key}"
-        if isinstance(value, dict):
-            out.update(config_leaves(value, dotted + "."))
-        elif isinstance(value, (bool, int, float, str)):
-            out[dotted] = value
-    return out
+def config_leaves(config: RunConfig) -> dict:
+    """Dotted path of every scalar leaf, mapped to its value.  Tuples stay
+    config-file only: a flag has no list syntax worth inventing."""
+    return {dotted: value for dotted, (_, value) in scalar_leaves(config).items()}
 
 
-def _parse_leaf(raw: str, default, dotted: str, problems: list):
-    """Convert a flag string to the type of the default it overrides."""
-    if isinstance(default, bool):  # bool before int: bool is an int subclass
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        problems.append(f"--{dotted}: expected a boolean, got {raw!r}")
-        return None
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            problems.append(f"--{dotted}: expected an integer, got {raw!r}")
-            return None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            problems.append(f"--{dotted}: expected a number, got {raw!r}")
-            return None
-    return raw
-
-
-def _merge_section(base: dict, override: dict, path: str, problems: list) -> dict:
-    """Overlay a config-file dict onto the defaults, rejecting unknown keys."""
-    merged = dict(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            problems.append(f"unknown config key: {where}")
-            continue
-        if isinstance(base[key], dict):
-            if value is None:
-                merged[key] = None  # e.g. "augment": null disables that block
-            elif isinstance(value, dict):
-                merged[key] = _merge_section(base[key], value, where, problems)
-            else:
-                problems.append(f"config key {where} expects an object or null")
+def _overlay(base: dict, top: dict) -> None:
+    """Merge ``top`` into ``base`` in place, object by object."""
+    for key, value in top.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _overlay(base[key], value)
         else:
-            merged[key] = value
-    return merged
+            base[key] = value
 
 
-def _assign(config: dict, dotted: str, value, problems: list) -> None:
-    parts = dotted.split(".")
-    node = config
-    for part in parts[:-1]:
-        node = node[part]
-        if node is None:
-            problems.append(
-                f"--{dotted}: section was disabled (null) in the config file"
-            )
-            return
-    node[parts[-1]] = value
-
-
-def load_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- dotted flags, with every problem listed."""
-    config = default_config()
-    problems: list[str] = []
-
+def load_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults <- config file <- dotted flags, decoded once with every
+    problem listed."""
+    config = default_config().to_dict()
     path = getattr(args, "config", None)
     if path is not None:
         try:
@@ -203,23 +151,27 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(file_config, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        config = _merge_section(config, file_config, "", problems)
+        _overlay(config, file_config)
 
+    problems = []
     flags = vars(args)
-    for dotted, default in config_leaves(default_config()).items():
+    for dotted, (kind, _) in scalar_leaves(default_config()).items():
         raw = flags.get(dotted)
         if raw is None:
             continue
-        value = _parse_leaf(raw, default, dotted, problems)
-        if value is None:
+        try:
+            value = parse_text(kind, raw)
+        except ValueError as exc:
+            problems.append(f"--{dotted}: {exc}")
             continue
-        _assign(config, dotted, value, problems)
-
-    if problems:
-        raise ConfigError(
-            "config validation failed:\n  " + "\n  ".join(problems)
-        )
-    return config
+        node = config
+        for section in dotted.split(".")[:-1]:
+            node = node.get(section) if isinstance(node, dict) else node
+        if isinstance(node, dict):
+            node[dotted.rsplit(".", 1)[1]] = value
+        elif node is None:
+            problems.append(f"--{dotted}: section was disabled (null) in the config file")
+    return RunConfig.from_dict(config, problems)
 
 
 def _write_json(path, obj) -> None:
@@ -228,34 +180,20 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _echo_config(out_dir: str, config: dict) -> None:
-    _write_json(os.path.join(out_dir, "config.json"), config)
-
-
 def _prepare_out_dir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
 
 
 def _split_index(data_root, config, split_manifest=None):
-    index = scan_dataset(data_root, layout=config["data"]["layout"])
+    index = scan_dataset(data_root, layout=config.data.layout)
     for warning in index.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if len(index) == 0:
         raise InputError(f"no samples found under {data_root}")
     if split_manifest is not None:
         return apply_split_manifest(index, split_manifest)
-    return split_dataset(
-        index,
-        ratios=tuple(config["data"]["ratios"]),
-        seed=config["data"]["split_seed"],
-    )
-
-
-def _model_from_config(config):
-    backbone = BackboneConfig.from_dict(config["backbone"])
-    head = HeadConfig.from_dict(config["head"])
-    return build_model(backbone, head, seed=config["train"]["seed"])
+    return split_dataset(index, ratios=config.data.ratios, seed=config.data.split_seed)
 
 
 def _eval_split(model, index, split, batch_size):
@@ -323,15 +261,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args)
-    train_config = TrainConfig.from_dict(config["train"])
-    train_config.validate()
+    train_config = config.train
     out_dir = _prepare_out_dir(args.out)
-    _echo_config(out_dir, config)
+    _write_json(os.path.join(out_dir, "config.json"), config.to_dict())
 
     index = _split_index(args.data, config, args.split_manifest)
     save_split_manifest(index, os.path.join(out_dir, "split.json"))
 
-    model = _model_from_config(config)
+    model = build_model(config.backbone, config.head, seed=train_config.seed)
     if args.init_backbone is not None:
         load_into(model, args.init_backbone, prefix="backbone.")
         print(f"loaded backbone weights from {args.init_backbone}")
@@ -348,7 +285,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     # test-set metrics come from the best-validation weights
     restore_state(model, result.best_state)
-    if config["output"]["save_best"]:
+    if config.output.save_best:
         save_checkpoint(model, os.path.join(out_dir, "best.ckpt"))
     test_result = _eval_split(model, index, "test", train_config.batch_size)
     _write_eval_outputs(
@@ -370,16 +307,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args)
-    base_config = TrainConfig.from_dict(config["train"])
-    base_config.validate()
     out_dir = _prepare_out_dir(args.out)
-    _echo_config(out_dir, config)
+    _write_json(os.path.join(out_dir, "config.json"), config.to_dict())
 
     index = _split_index(args.data, config, args.split_manifest)
     save_split_manifest(index, os.path.join(out_dir, "split.json"))
 
-    backbone = BackboneConfig.from_dict(config["backbone"])
-    result = sweep(index, backbone, base_config, backbone_checkpoint=args.init_backbone)
+    result = sweep(index, config.backbone, config.train,
+                   backbone_checkpoint=args.init_backbone)
 
     write_sweep_csv(result, os.path.join(out_dir, "sweep.csv"))
     write_sweep_json(result, os.path.join(out_dir, "sweep.json"))
@@ -409,11 +344,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"unknown split '{args.split}'; expected one of {list(SPLIT_NAMES)}"
         )
     out_dir = _prepare_out_dir(args.out)
-    _echo_config(out_dir, config)
+    _write_json(os.path.join(out_dir, "config.json"), config.to_dict())
 
     model = load_checkpoint(args.checkpoint)
     index = _split_index(args.data, config, args.split_manifest)
-    result = _eval_split(model, index, args.split, config["train"]["batch_size"])
+    result = _eval_split(model, index, args.split, config.train.batch_size)
     _write_eval_outputs(
         out_dir, result, extra={"split": args.split, "checkpoint": args.checkpoint}
     )
@@ -429,26 +364,15 @@ def _load_cascade_any(path):
     return load_cascade_json(path)
 
 
-def _detect_params(config) -> DetectParams:
-    section = config["detect"]
-    return DetectParams(
-        scale_factor=section["scale_factor"],
-        step=section["step"],
-        min_size=section["min_size"],
-        min_neighbors=section["min_neighbors"],
-    )
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
     config = load_config(args)
-    params = _detect_params(config)
     image = load_ppm(args.image)
     cascade = _load_cascade_any(args.cascade)
-    boxes = detect(to_grayscale(image), cascade, params)
+    boxes = detect(to_grayscale(image), cascade, config.detect)
     payload = {
         "image": os.fspath(args.image),
         "cascade": os.fspath(args.cascade),
-        "params": dict(config["detect"]),
+        "params": config.detect.to_dict(),
         "boxes": [
             {"x": b.x, "y": b.y, "w": b.w, "h": b.h, "score": b.score}
             for b in boxes
@@ -494,20 +418,17 @@ def classify_crop(model, image: np.ndarray, box) -> tuple[int, float]:
     size = model.backbone_config.input_size
     crop = resize_bilinear(image[y0:y1, x0:x1], size, size)
     batch = Tensor(normalize(crop).data[None, :, :, :])
-    logits = model.forward_logits(batch, mode="eval").data[0]
-    shifted = np.exp(logits - logits.max())
-    probs = shifted / shifted.sum()
+    probs = model.forward(batch, mode="eval").data[0]
     klass = int(np.argmax(probs))
     return klass, float(probs[klass])
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     config = load_config(args)
-    params = _detect_params(config)
     image = load_ppm(args.image)
     cascade = _load_cascade_any(args.cascade)
     model = load_checkpoint(args.checkpoint)
-    boxes = detect(to_grayscale(image), cascade, params)
+    boxes = detect(to_grayscale(image), cascade, config.detect)
 
     json_out = args.json_out
     if json_out is None:
@@ -533,7 +454,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             "image": os.fspath(args.image),
             "cascade": os.fspath(args.cascade),
             "checkpoint": os.fspath(args.checkpoint),
-            "params": dict(config["detect"]),
+            "params": config.detect.to_dict(),
             "faces": faces,
         },
     )

@@ -1,0 +1,127 @@
+"""One codec for every config dataclass, driven by its fields and type hints.
+
+Supported hints: ``bool``, ``int``, ``float``, ``str``, fixed and variadic
+``tuple[...]``, nested config dataclasses and ``X | None``.  A ``bool`` is
+not an ``int``; an ``int`` is accepted as a ``float`` but kept as an
+``int``, so a decoded config re-encodes to the same JSON.  Unknown keys,
+wrong types and ``validate()`` errors are all collected into one
+:class:`ConfigError`, each named by its dotted path.
+"""
+
+from __future__ import annotations
+
+import math
+import types
+import typing
+from dataclasses import fields, is_dataclass
+
+from .errors import ConfigError
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+               "false": False, "0": False, "no": False, "off": False}
+
+
+class Config:
+    """Base for config dataclasses: ``to_dict``/``from_dict`` through the codec."""
+
+    def to_dict(self) -> dict:
+        return encode(self)
+
+    @classmethod
+    def from_dict(cls, data, problems=()):
+        """Decode ``data``, or raise one :class:`ConfigError` listing every
+        problem, starting with the ``problems`` the caller already found."""
+        problems = list(problems)
+        config = _decode(cls, data, "", problems)
+        if problems:
+            raise ConfigError("config validation failed:\n  " + "\n  ".join(problems))
+        return config
+
+
+def encode(value):
+    """JSON-ready form of a config dataclass, or of any value inside one."""
+    if is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [encode(v) for v in value]
+    return value
+
+
+def _decode(hint, value, path: str, problems: list):
+    """Check ``value`` against ``hint``; problems are appended, and the
+    returned value is meaningless once one has been."""
+    if is_dataclass(hint):
+        return _decode_fields(hint, value, path, problems)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode(inner, value, path, problems)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            problems.append(f"{path}: expected a list, got {value!r}")
+            return None
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            problems.append(f"{path}: expected {len(args)} items, got {len(value)}")
+            return None
+        return tuple(_decode(h, v, f"{path}[{i}]", problems)
+                     for i, (h, v) in enumerate(zip(args, value)))
+    if hint is float:
+        ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    else:
+        ok = isinstance(value, hint)
+    if not ok or (isinstance(value, bool) and hint is not bool):
+        problems.append(f"{path}: expected {_KIND_NAMES[hint]}, got {value!r}")
+    return value
+
+
+def _decode_fields(cls, data, path: str, problems: list):
+    if not isinstance(data, dict):
+        problems.append(f"{path or 'config'}: expected an object, got {data!r}")
+        return None
+    hints = typing.get_type_hints(cls)
+    start = len(problems)
+    kwargs = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key in hints:
+            kwargs[key] = _decode(hints[key], value, where, problems)
+        else:
+            problems.append(f"unknown config key: {where}")
+    if len(problems) > start:
+        return None
+    try:
+        config = cls(**kwargs)
+        if hasattr(config, "validate"):
+            config.validate()
+    except ConfigError as exc:
+        problems.append(f"{path}: {exc}" if path else str(exc))
+        return None
+    return config
+
+
+def scalar_leaves(config, prefix: str = "") -> dict:
+    """Dotted path -> ``(type, value)`` of every bool/int/float/str field
+    of a config instance, nested sections included; tuples are left out."""
+    out = {}
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            out.update(scalar_leaves(value, f"{prefix}{f.name}."))
+        elif hints[f.name] in _KIND_NAMES:
+            out[prefix + f.name] = (hints[f.name], value)
+    return out
+
+
+def parse_text(kind: type, text: str):
+    """Read a command-line string as a value of scalar type ``kind``;
+    raises ``ValueError`` when it is not one."""
+    try:
+        return _BOOL_WORDS[text.strip().lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"expected {_KIND_NAMES[kind]}, got {text!r}") from None

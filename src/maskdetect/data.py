@@ -18,6 +18,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .config import Config
 from .errors import ConfigError, InputError, ParameterError, PPMError, UsageError
 from .rng import SplitMix64
 from .tensor import Tensor
@@ -419,7 +420,7 @@ def normalize(image) -> Tensor:
 
 
 @dataclass(frozen=True)
-class AugmentConfig:
+class AugmentConfig(Config):
     """Magnitudes for the four training-time transforms.
 
     A zero magnitude (or a (1, 1) zoom range) disables that transform, so
@@ -454,30 +455,6 @@ class AugmentConfig:
     @classmethod
     def identity(cls) -> "AugmentConfig":
         return cls(0.0, (1.0, 1.0), 0.0, 0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "rotation_max_deg": self.rotation_max_deg,
-            "zoom_range": list(self.zoom_range),
-            "color_shift_max": self.color_shift_max,
-            "translate_max_fraction": self.translate_max_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentConfig":
-        known = {
-            "rotation_max_deg",
-            "zoom_range",
-            "color_shift_max",
-            "translate_max_fraction",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown augment config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "zoom_range" in kwargs:
-            kwargs["zoom_range"] = tuple(kwargs["zoom_range"])
-        return cls(**kwargs)
 
 
 def rotate_image(image, angle_deg: float) -> np.ndarray:

@@ -15,12 +15,13 @@ unfreeze machinery.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
 from . import tensor as T
+from .config import Config
 from .errors import ConfigError, ParameterError, ShapeError, UsageError
 from .rng import SplitMix64
 
@@ -39,7 +40,7 @@ def _he_uniform(rng: SplitMix64, fan_in: int, shape: tuple) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class InceptionWidths:
+class InceptionWidths(Config):
     """Output channels of each branch of one inception block (before the
     width multiplier is applied)."""
 
@@ -54,7 +55,7 @@ class InceptionWidths:
 
 
 @dataclass(frozen=True)
-class BackboneConfig:
+class BackboneConfig(Config):
     """Shape of the convolutional feature extractor.
 
     The stem is a chain of 3x3 conv+norm+relu units (first one stride 2);
@@ -65,10 +66,10 @@ class BackboneConfig:
     input_size: int = 299
     in_channels: int = 3
     width_mult: float = 1.0
-    stem_channels: tuple = (32, 32, 64)
-    stem_strides: tuple = (2, 1, 2)
+    stem_channels: tuple[int, ...] = (32, 32, 64)
+    stem_strides: tuple[int, ...] = (2, 1, 2)
     num_blocks: int = 4
-    factorized_blocks: tuple = (2, 4)
+    factorized_blocks: tuple[int, ...] = (2, 4)
     widths: InceptionWidths = field(default_factory=InceptionWidths)
 
     def validate(self) -> None:
@@ -93,21 +94,6 @@ class BackboneConfig:
                 f"factorized_blocks {self.factorized_blocks} outside 1..{self.num_blocks}"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneConfig":
-        d = dict(d)
-        if "widths" in d and isinstance(d["widths"], dict):
-            d["widths"] = InceptionWidths(**d["widths"])
-        for key in ("stem_channels", "stem_strides", "factorized_blocks"):
-            if key in d:
-                d[key] = tuple(d[key])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
-
 
 def desk_backbone() -> BackboneConfig:
     """Quarter-width 75x75 profile: same topology, CPU-friendly cost."""
@@ -115,7 +101,7 @@ def desk_backbone() -> BackboneConfig:
 
 
 @dataclass(frozen=True)
-class HeadConfig:
+class HeadConfig(Config):
     """Fully-connected classifier head on top of pooled features."""
 
     hidden_units: int = 128
@@ -132,15 +118,6 @@ class HeadConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HeadConfig":
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 # -- layers -----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_into
+from .config import Config
 from .data import AugmentConfig, DatasetIndex, batches
 from .errors import ConfigError, UsageError
 from .metrics import ClassReport, ConfusionMatrix, classification_report, confusion
@@ -97,7 +98,7 @@ class Adam:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     """Knobs for one two-phase run.
 
     Phase 1 trains the head against a frozen feature extractor; phase 2
@@ -127,31 +128,6 @@ class TrainConfig:
     @property
     def total_epochs(self) -> int:
         return self.epochs_phase1 + self.epochs_phase2
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs_phase1": self.epochs_phase1,
-            "epochs_phase2": self.epochs_phase2,
-            "unfreeze_last_k": self.unfreeze_last_k,
-            "lr_phase1": self.lr_phase1,
-            "lr_phase2": self.lr_phase2,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "augment": None if self.augment is None else self.augment.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if kwargs.get("augment") is not None:
-            kwargs["augment"] = AugmentConfig.from_dict(kwargs["augment"])
-        config = cls(**kwargs)
-        config.validate()
-        return config
 
 
 @dataclass

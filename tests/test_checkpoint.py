@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from maskdetect import checkpoint
 from maskdetect import tensor as T
 from maskdetect.checkpoint import load_checkpoint, load_into, read_header, save_checkpoint
 from maskdetect.errors import CheckpointError
@@ -171,3 +172,127 @@ def test_training_state_survives_roundtrip(tmp_path):
     assert [p.trainable for p in back.parameters()] == [p.trainable for p in m.parameters()]
     xq = _x(9, m)
     assert np.array_equal(m.forward(xq, "eval").data, back.forward(xq, "eval").data)
+
+
+def _rewrite_header(src, dst, mutate):
+    """Copy a checkpoint, passing its parsed header through ``mutate``."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = mutate(json.loads(raw[8 : 8 + hlen]))
+    enc = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + raw[8 + hlen :])
+
+
+def _set_entry(field, value):
+    def mutate(header):
+        header["entries"][0][field] = value
+        return header
+    return mutate
+
+
+def _drop_offset(header):
+    del header["entries"][0]["offset"]
+    return header
+
+
+def _with(key, value):
+    def mutate(header):
+        header[key] = value
+        return header
+    return mutate
+
+
+MALFORMED_HEADERS = {
+    "missing_offset": (_drop_offset, "offset"),
+    "string_offset": (_set_entry("offset", "0"), "offset"),
+    "entries_not_a_list": (_with("entries", 5), "entries"),
+    "array_header": (lambda header: [header], "JSON object"),
+    "name_not_a_string": (_set_entry("name", 7), "name"),
+    "shape_not_a_list": (_set_entry("shape", "3x3"), "shape"),
+    "unknown_kind": (_set_entry("kind", "weights"), "kind"),
+    "float_seed": (_with("seed", 1.5), "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_header_is_checkpoint_error(tmp_path, case):
+    mutate, named = MALFORMED_HEADERS[case]
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(_model(seed=1), good)
+    _rewrite_header(good, bad, mutate)
+    with pytest.raises(CheckpointError, match=named):
+        load_checkpoint(bad)
+    with pytest.raises(CheckpointError, match=named):
+        load_into(_model(seed=1), bad)
+
+
+def test_bad_architecture_is_checkpoint_error(tmp_path):
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(_model(seed=1), good)
+
+    def zero_blocks(header):
+        header["backbone"]["num_blocks"] = 0
+        return header
+
+    _rewrite_header(good, bad, zero_blocks)
+    with pytest.raises(CheckpointError, match="num_blocks"):
+        load_checkpoint(bad)
+
+
+def test_load_checkpoint_reads_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_model(seed=1), path)
+    reads = []
+    real_read = checkpoint._read
+
+    def counting_read(p):
+        reads.append(p)
+        return real_read(p)
+
+    monkeypatch.setattr(checkpoint, "_read", counting_read)
+    load_checkpoint(path)
+    assert len(reads) == 1
+
+
+FUZZ_VALUES = [None, True, False, -1, 0, 1.5, float("nan"), "x", "", [], [1, "a"], {}, {"k": 1}]
+_DROP = object()
+
+
+def _json_paths(node, prefix=()):
+    """Every key/index path under a parsed JSON value, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _json_paths(child, prefix + (key,))
+
+
+def test_header_fuzz_raises_only_checkpoint_error(tmp_path):
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(_model(seed=1, units=8), good)
+    rng = SplitMix64(2024)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for case in range(300):
+        def mutate(header):
+            top = sorted(header)[rng.randint(len(header))]
+            paths = [(top,)]
+            if isinstance(header[top], (dict, list)):
+                paths += [(top,) + p for p in _json_paths(header[top])]
+            path = paths[rng.randint(len(paths))]
+            parent = header
+            for key in path[:-1]:
+                parent = parent[key]
+            value = ([_DROP] + FUZZ_VALUES)[rng.randint(len(FUZZ_VALUES) + 1)]
+            if value is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            return header
+
+        _rewrite_header(good, bad, mutate)
+        try:
+            load_checkpoint(bad)
+            outcomes["loaded"] += 1
+        except CheckpointError:
+            outcomes["rejected"] += 1
+    assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0

@@ -7,6 +7,7 @@ routing, and the files each command leaves behind.  Runs use a tiny
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -117,6 +118,7 @@ def test_every_scalar_leaf_has_a_flag():
                    "head.hidden_units", "data.split_seed",
                    "detect.scale_factor", "output.save_best"):
         assert dotted in leaves
+    assert len(leaves) == 33
     # list-valued leaves stay config-file only
     assert "data.ratios" not in leaves
     assert "backbone.stem_channels" not in leaves
@@ -333,6 +335,20 @@ def test_evaluate_unknown_split_exits_two(corpus, train_run, tmp_path, capsys):
                  "--out", str(tmp_path / "e"), "--split", "holdout"])
     assert code == 2
     assert "holdout" in capsys.readouterr().err
+
+
+def test_evaluate_bad_architecture_checkpoint_exits_one(corpus, train_run, tmp_path, capsys):
+    raw = (train_run / "best.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    header["backbone"]["num_blocks"] = 0
+    enc = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + raw[8 + hlen:])
+    code = main(["evaluate", "--data", str(corpus), "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "e")])
+    assert code == 1
+    assert "num_blocks" in capsys.readouterr().err
 
 
 def test_evaluate_missing_checkpoint_fails(corpus, tmp_path):

@@ -1,0 +1,206 @@
+"""The dataclass-driven config codec and the CLI run config built on it."""
+
+import json
+import os
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+
+from maskdetect.cli import RunConfig, default_config, main
+from maskdetect.config import Config, encode, parse_text
+from maskdetect.data import save_ppm, synth_dataset
+from maskdetect.errors import ConfigError
+from maskdetect.rng import SplitMix64
+
+FIXTURE_XML = os.path.join(os.path.dirname(__file__), "fixtures", "face_cascade.xml")
+
+
+@dataclass(frozen=True)
+class Inner(Config):
+    ratio: float = 0.5
+    flag: bool = False
+
+
+@dataclass(frozen=True)
+class Outer(Config):
+    count: int = 1
+    name: str = "a"
+    pair: tuple[float, float] = (1.0, 2.0)
+    sizes: tuple[int, ...] = (3,)
+    inner: Inner = field(default_factory=Inner)
+    maybe: Inner | None = None
+
+    def validate(self) -> None:
+        if self.count < 0:
+            raise ConfigError(f"count must be >= 0, got {self.count}")
+
+
+def _problems(cls, data) -> str:
+    with pytest.raises(ConfigError) as info:
+        cls.from_dict(data)
+    message = str(info.value)
+    assert message.startswith("config validation failed:")
+    return message
+
+
+# -- codec ------------------------------------------------------------------------------
+
+
+def test_roundtrip_of_every_supported_type():
+    config = Outer(2, "b", (0.5, 1.5), (1, 2, 3), Inner(0.25, True), Inner())
+    assert encode(config) == {
+        "count": 2, "name": "b", "pair": [0.5, 1.5], "sizes": [1, 2, 3],
+        "inner": {"ratio": 0.25, "flag": True},
+        "maybe": {"ratio": 0.5, "flag": False},
+    }
+    assert Outer.from_dict(config.to_dict()) == config
+    assert Outer.from_dict({}) == Outer()
+    assert Outer.from_dict({"maybe": None}).maybe is None
+    assert Outer.from_dict({"sizes": []}).sizes == ()
+
+
+def test_int_is_a_float_but_is_not_converted():
+    config = Outer.from_dict({"inner": {"ratio": 1}, "pair": [0, 2]})
+    assert type(config.inner.ratio) is int
+    assert json.dumps(config.to_dict()["inner"]) == '{"ratio": 1, "flag": false}'
+    assert config.to_dict()["pair"] == [0, 2]
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"count": True}, "count: expected an integer, got True"),
+    ({"count": 1.0}, "count: expected an integer"),
+    ({"count": "1"}, "count: expected an integer"),
+    ({"name": 3}, "name: expected a string"),
+    ({"inner": {"flag": 1}}, "inner.flag: expected a boolean"),
+    ({"inner": {"ratio": True}}, "inner.ratio: expected a finite number"),
+    ({"inner": {"ratio": float("nan")}}, "inner.ratio: expected a finite number"),
+    ({"inner": 4}, "inner: expected an object"),
+    ({"pair": [1.0]}, "pair: expected 2 items, got 1"),
+    ({"pair": "ab"}, "pair: expected a list"),
+    ({"sizes": [1, "2"]}, "sizes[1]: expected an integer"),
+    ({"maybe": {"ratio": "x"}}, "maybe.ratio: expected a finite number"),
+    ({"inner": {"extra": 1}}, "unknown config key: inner.extra"),
+    ({"count": -1}, "count must be >= 0"),
+])
+def test_each_problem_names_its_dotted_path(data, named):
+    assert named in _problems(Outer, data)
+
+
+def test_all_problems_are_reported_together():
+    message = _problems(Outer, {"count": "x", "bogus": 1, "inner": {"flag": None, "y": 2}})
+    for named in ("count: expected", "unknown config key: bogus",
+                  "inner.flag: expected", "unknown config key: inner.y"):
+        assert named in message
+    # validate() runs for every well-typed section, not just the first
+    message = _problems(RunConfig, {"train": {"batch_size": 0},
+                                    "head": {"dropout_rate": 1.0}})
+    assert "train: batch_size must be >= 1" in message
+    assert "head: dropout_rate must be in [0, 1)" in message
+
+
+def test_top_level_must_be_an_object():
+    assert "config: expected an object" in _problems(Outer, [1])
+
+
+def test_parse_text_follows_the_field_type():
+    assert parse_text(int, "16") == 16
+    assert parse_text(float, "1e-3") == 1e-3
+    assert parse_text(str, "native") == "native"
+    assert parse_text(bool, "Yes") is True and parse_text(bool, "off") is False
+    for kind, text in ((int, "1.5"), (float, "x"), (bool, "maybe")):
+        with pytest.raises(ValueError):
+            parse_text(kind, text)
+
+
+# -- the CLI run config -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    synth_dataset(4, 24, seed=0, out_dir=root / "corpus")
+    save_ppm(np.full((30, 30, 3), 128, np.uint8), root / "blank.ppm")
+    return root
+
+
+BAD_CONFIGS = [
+    ({"train": {"batch_size": "16"}}, "train.batch_size"),
+    ({"train": {"augment": {"zoom_range": 5}}}, "train.augment.zoom_range"),
+    ({"backbone": {"stem_channels": 5}}, "backbone.stem_channels"),
+    ({"backbone": {"widths": {"b1x1": "a"}}}, "backbone.widths.b1x1"),
+    ({"head": {"hidden_units": None}}, "head.hidden_units"),
+    ({"data": {"ratios": "abc"}}, "data.ratios"),
+    ({"data": {"split_seed": "x"}}, "data.split_seed"),
+    ({"train": {"seed": 1.5}}, "train.seed"),
+    ({"detect": {"step": "2"}}, "detect.step"),
+    ({"train": {"epochs_phase1": True}}, "train.epochs_phase1"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "detect"])
+@pytest.mark.parametrize("config, named", BAD_CONFIGS, ids=[n for _, n in BAD_CONFIGS])
+def test_wrong_typed_config_exits_two(inputs, tmp_path, capsys, command, config, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    if command == "train":
+        argv = ["train", "--data", str(inputs / "corpus"), "--out", str(tmp_path / "r")]
+    else:
+        argv = ["detect", "--image", str(inputs / "blank.ppm"), "--cascade", FIXTURE_XML,
+                "--out", str(tmp_path / "boxes.json")]
+    assert main(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config validation failed" in err and named in err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "boxes.json").exists()
+
+
+def test_unknown_key_and_wrong_type_in_one_message(inputs, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"train": {"epochz": 1}, "detect": {"step": "2"}}))
+    code = main(["detect", "--image", str(inputs / "blank.ppm"), "--cascade", FIXTURE_XML,
+                 "--out", str(tmp_path / "b.json"), "--config", str(path),
+                 "--detect.min_size", "big"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("config validation failed") == 1
+    for named in ("unknown config key: train.epochz", "detect.step: expected an integer",
+                  "--detect.min_size: expected an integer, got 'big'"):
+        assert named in err
+
+
+FUZZ_VALUES = [None, True, False, -1, 0, 1.5, float("nan"), "x", "", [], [1, "a"], {}, {"k": 1}]
+
+
+def _json_paths(node, prefix=()):
+    """Every key/index path under a parsed JSON value, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _json_paths(child, prefix + (key,))
+
+
+def test_config_fuzz_decodes_or_raises_config_error():
+    rng = SplitMix64(31)
+    paths = list(_json_paths(default_config().to_dict()))
+    outcomes = {"decoded": 0, "rejected": 0}
+    for case in range(400):
+        data = default_config().to_dict()
+        for _ in range(1 + rng.randint(3)):
+            path = paths[rng.randint(len(paths))]
+            parent = data
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = FUZZ_VALUES[rng.randint(len(FUZZ_VALUES))]
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier mutation replaced an enclosing node
+        try:
+            config = RunConfig.from_dict(data)
+        except ConfigError as exc:
+            assert str(exc).startswith("config validation failed:")
+            outcomes["rejected"] += 1
+        else:
+            assert config.to_dict() == data  # accepted input echoes unchanged
+            outcomes["decoded"] += 1
+    assert outcomes["decoded"] > 0 and outcomes["rejected"] > 0
