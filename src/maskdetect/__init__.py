@@ -105,6 +105,7 @@ from .errors import (
     InputError,
     MaskDetectError,
     MetricError,
+    NonFiniteError,
     ParameterError,
     PPMError,
     ShapeError,
@@ -147,6 +148,6 @@ __all__ = [
     # errors
     "MaskDetectError", "ShapeError", "ParameterError", "UsageError",
     "ConfigError", "InputError", "CheckpointError", "CascadeFormatError",
-    "PPMError", "MetricError",
+    "PPMError", "MetricError", "NonFiniteError",
     "__version__",
 ]

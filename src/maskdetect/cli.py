@@ -46,6 +46,7 @@ from .data import (
     SPLIT_NAMES,
     apply_split_manifest,
     batches,
+    check_split_ratios,
     load_ppm,
     normalize,
     resize_bilinear,
@@ -98,6 +99,9 @@ class DataSection(Config):
     split_seed: int = 0
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
 
+    def validate(self) -> None:
+        check_split_ratios(self.ratios)
+
 
 @dataclass(frozen=True)
 class OutputSection(Config):
@@ -114,6 +118,11 @@ class RunConfig(Config):
     train: TrainConfig = field(default_factory=TrainConfig)
     detect: DetectParams = field(default_factory=DetectParams)
     output: OutputSection = field(default_factory=OutputSection)
+
+    def validate(self) -> None:
+        k, blocks = self.train.unfreeze_last_k, self.backbone.num_blocks
+        if k > blocks:
+            raise ConfigError(f"train.unfreeze_last_k={k} exceeds backbone.num_blocks={blocks}")
 
 
 def default_config() -> RunConfig:

@@ -5,7 +5,10 @@ Supported hints: ``bool``, ``int``, ``float``, ``str``, fixed and variadic
 not an ``int``; an ``int`` is accepted as a ``float`` but kept as an
 ``int``, so a decoded config re-encodes to the same JSON.  Unknown keys,
 wrong types and ``validate()`` errors are all collected into one
-:class:`ConfigError`, each named by its dotted path.
+:class:`ConfigError`, each named by its dotted path.  ``validate()`` runs
+on every section whose fields are well typed, even when a section nested
+in it failed its own ``validate()``, so checks that span sections are
+reported together with the rest.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import ConfigError
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
+_BAD = object()  # decoded value that is not of its hinted type
 
 
 class Config:
@@ -49,8 +53,8 @@ def encode(value):
 
 
 def _decode(hint, value, path: str, problems: list):
-    """Check ``value`` against ``hint``; problems are appended, and the
-    returned value is meaningless once one has been."""
+    """Check ``value`` against ``hint``, appending any problems.  Returns
+    ``_BAD`` when the value (or a part of it) is not of its hinted type."""
     if is_dataclass(hint):
         return _decode_fields(hint, value, path, problems)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -62,45 +66,49 @@ def _decode(hint, value, path: str, problems: list):
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             problems.append(f"{path}: expected a list, got {value!r}")
-            return None
+            return _BAD
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(value) != len(args):
             problems.append(f"{path}: expected {len(args)} items, got {len(value)}")
-            return None
-        return tuple(_decode(h, v, f"{path}[{i}]", problems)
-                     for i, (h, v) in enumerate(zip(args, value)))
+            return _BAD
+        items = tuple(_decode(h, v, f"{path}[{i}]", problems)
+                      for i, (h, v) in enumerate(zip(args, value)))
+        return _BAD if any(v is _BAD for v in items) else items
     if hint is float:
         ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     else:
         ok = isinstance(value, hint)
     if not ok or (isinstance(value, bool) and hint is not bool):
         problems.append(f"{path}: expected {_KIND_NAMES[hint]}, got {value!r}")
+        return _BAD
     return value
 
 
 def _decode_fields(cls, data, path: str, problems: list):
     if not isinstance(data, dict):
         problems.append(f"{path or 'config'}: expected an object, got {data!r}")
-        return None
+        return _BAD
     hints = typing.get_type_hints(cls)
-    start = len(problems)
     kwargs = {}
+    well_typed = True
     for key, value in data.items():
         where = f"{path}.{key}" if path else str(key)
         if key in hints:
             kwargs[key] = _decode(hints[key], value, where, problems)
+            well_typed = well_typed and kwargs[key] is not _BAD
         else:
             problems.append(f"unknown config key: {where}")
-    if len(problems) > start:
-        return None
+            well_typed = False
+    if not well_typed:
+        return _BAD
+    config = _BAD  # stays so when construction itself (a __post_init__ check) fails
     try:
         config = cls(**kwargs)
         if hasattr(config, "validate"):
             config.validate()
     except ConfigError as exc:
         problems.append(f"{path}: {exc}" if path else str(exc))
-        return None
     return config
 
 

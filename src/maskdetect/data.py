@@ -191,6 +191,17 @@ def scan_dataset(roots, layout="native") -> DatasetIndex:
     return index
 
 
+def check_split_ratios(ratios) -> tuple[float, float, float]:
+    """``ratios`` as floats; raises :class:`ConfigError` unless they are
+    three non-negative numbers that sum to 1 (within 1e-9)."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or any(r < 0 for r in ratios):
+        raise ConfigError(f"ratios must be three non-negative numbers, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
+    return ratios
+
+
 def split_dataset(
     index: DatasetIndex,
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
@@ -203,12 +214,7 @@ def split_dataset(
     remainder going to train.  The returned index lists samples in the same
     order as the input, only with ``split`` filled in.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError(f"ratios must be three non-negative numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
-
+    ratios = check_split_ratios(ratios)
     out = DatasetIndex(
         samples=[Sample(s.path, s.label) for s in index.samples],
         seed=seed,

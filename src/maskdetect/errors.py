@@ -21,6 +21,11 @@ class ConfigError(MaskDetectError):
     """A configuration object or file is invalid."""
 
 
+class NonFiniteError(MaskDetectError):
+    """Training produced a NaN or infinite loss or gradient; the message
+    names the epoch, the batch and the first bad parameter."""
+
+
 class InputError(MaskDetectError):
     """Data handed to an operation violates its preconditions."""
 

@@ -53,6 +53,11 @@ class InceptionWidths(Config):
     b7x7: int = 24
     pool_proj: int = 16
 
+    def validate(self) -> None:
+        bad = {name: width for name, width in self.to_dict().items() if width < 1}
+        if bad:
+            raise ConfigError(f"every width must be >= 1, got {bad}")
+
 
 @dataclass(frozen=True)
 class BackboneConfig(Config):
@@ -84,6 +89,8 @@ class BackboneConfig(Config):
                 f"stem_channels {self.stem_channels} and stem_strides {self.stem_strides} "
                 "must be non-empty and the same length"
             )
+        if any(ch < 1 for ch in self.stem_channels):
+            raise ConfigError(f"stem_channels must be >= 1, got {self.stem_channels}")
         if any(s < 1 for s in self.stem_strides):
             raise ConfigError(f"stem strides must be >= 1, got {self.stem_strides}")
         if self.num_blocks < 1:

@@ -1,16 +1,19 @@
 """Dense n-dimensional tensors with reverse-mode automatic differentiation.
 
 Every forward operation that the classifier needs is implemented here as a
-function over :class:`Tensor`, recording a backward closure when any input
-requires gradients.  Gradients are exact (verified against central finite
-differences in the test suite).  Float32 is the default compute precision;
-every op also works in float64, which the gradient checks use for tight
-tolerances.
+function over :class:`Tensor` that builds its result with :func:`_node`.
+The node keeps an edge list: each input that requires a gradient, in input
+order, as ``_parents``, and beside it in ``_grad_fns`` the function that
+maps the result's gradient to that input's.  Gradients are exact (verified
+against central finite differences in the test suite).  Float32 is the
+default compute precision; every op also works in float64, which the
+gradient checks use for tight tolerances.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,6 +22,8 @@ from .errors import InputError, ParameterError, ShapeError, UsageError
 from .rng import SplitMix64
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+
+GradFn = Callable[[np.ndarray], np.ndarray]
 
 
 def _as_dtype(dtype) -> np.dtype:
@@ -40,7 +45,7 @@ class Tensor:
     that :meth:`backward` can accumulate ``grad`` on every reachable input.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -56,7 +61,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
+        self._grad_fns: tuple[GradFn, ...] = ()
 
     # -- introspection -------------------------------------------------------
 
@@ -120,9 +125,7 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad:
-                    stack.append((p, False))
+            stack.extend((p, False) for p in node._parents)
         for node in order:
             if node is not self and node.grad is not None:
                 raise UsageError(
@@ -131,58 +134,43 @@ class Tensor:
                 )
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node.grad is not None:
+                for parent, fn in zip(node._parents, node._grad_fns):
+                    parent._accumulate(fn(node.grad))
 
     # -- small composable ops (same-shape or scalar only) ---------------------
 
     def __add__(self, other) -> "Tensor":
         if not isinstance(other, Tensor):
-            out = _result(self.data + self.data.dtype.type(other), (self,))
-            _record(out, self, lambda g: g)
-            return out
+            return _node(self.data + self.data.dtype.type(other), (self, lambda g: g))
         _check_same_shape("add", self, other)
-        out = _result(self.data + other.data, (self, other))
-        _record(out, self, lambda g: g)
-        _record(out, other, lambda g: g)
-        return out
+        return _node(self.data + other.data, (self, lambda g: g), (other, lambda g: g))
 
     def __mul__(self, other) -> "Tensor":
         if not isinstance(other, Tensor):
             c = self.data.dtype.type(other)
-            out = _result(self.data * c, (self,))
-            _record(out, self, lambda g: g * c)
-            return out
+            return _node(self.data * c, (self, lambda g: g * c))
         _check_same_shape("mul", self, other)
-        out = _result(self.data * other.data, (self, other))
         a, b = self.data, other.data
-        _record(out, self, lambda g: g * b)
-        _record(out, other, lambda g: g * a)
-        return out
+        return _node(a * b, (self, lambda g: g * b), (other, lambda g: g * a))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def sum(self) -> "Tensor":
-        out = _result(np.asarray(self.data.sum(), dtype=self.dtype).reshape(()), (self,))
-        shape = self.shape
-        _record(out, self, lambda g: np.broadcast_to(g, shape))
-        return out
+        total = np.asarray(self.data.sum(), dtype=self.dtype).reshape(())
+        return _node(total, (self, lambda g: np.broadcast_to(g, self.shape)))
 
     def mean(self) -> "Tensor":
         n = self.data.size
-        out = _result(np.asarray(self.data.sum() / n, dtype=self.dtype).reshape(()), (self,))
-        shape = self.shape
-        _record(out, self, lambda g: np.broadcast_to(g / n, shape).astype(self.dtype))
-        return out
+        avg = np.asarray(self.data.sum() / n, dtype=self.dtype).reshape(())
+        return _node(avg, (self, lambda g: np.broadcast_to(g / n, self.shape).astype(self.dtype)))
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old = self.shape
-        out = _result(self.data.reshape(shape), (self,))
-        _record(out, self, lambda g: g.reshape(old))
-        return out
+        return _node(self.data.reshape(shape), (self, lambda g: g.reshape(old)))
 
 
 class Parameter:
@@ -220,28 +208,22 @@ class Parameter:
 # -- graph bookkeeping ---------------------------------------------------------
 
 
-def _result(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
+def _node(data: np.ndarray, *edges: tuple[Tensor, GradFn]) -> Tensor:
+    """Result tensor of an op over the inputs named by ``edges``.
+
+    Each edge is ``(input, grad_fn)``, where ``grad_fn`` maps the result's
+    gradient to the input's.  Edges whose input needs no gradient are
+    dropped, so their functions never run; the rest keep input order,
+    which fixes the order in which gradients are summed.
+    """
+    live = [(t, fn) for t, fn in edges if t.requires_grad]
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    out._parents = tuple(t for t in inputs if t.requires_grad) if out.requires_grad else ()
-    out._backward_fn = None
+    out.requires_grad = bool(live)
+    out._parents = tuple(t for t, _ in live)
+    out._grad_fns = tuple(fn for _, fn in live)
     return out
-
-
-def _record(out: Tensor, inp: Tensor, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Chain a per-input gradient function onto out's backward closure."""
-    if not (out.requires_grad and inp.requires_grad):
-        return
-    prev = out._backward_fn
-
-    def _bw(g: np.ndarray, _prev=prev, _inp=inp, _fn=fn) -> None:
-        if _prev is not None:
-            _prev(g)
-        _inp._accumulate(_fn(g))
-
-    out._backward_fn = _bw
 
 
 def _check_same_shape(opname: str, a: Tensor, b: Tensor) -> None:
@@ -259,6 +241,17 @@ def _pad_pair(padding) -> tuple[int, int]:
     if ph < 0 or pw < 0:
         raise ParameterError(f"padding must be non-negative, got {padding}")
     return ph, pw
+
+
+def _fold(dcol: np.ndarray, x: Tensor, stride: int, ph: int, pw: int) -> np.ndarray:
+    """col2im: sum window gradients [N,C,OH,OW,kh,kw] onto x's unpadded grid."""
+    n, c, h, w = x.shape
+    oh, ow, kh, kw = dcol.shape[2:]
+    dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcol[..., i, j]
+    return dxp[:, :, ph : ph + h, pw : pw + w]
 
 
 # -- convolution ----------------------------------------------------------------
@@ -299,33 +292,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) 
     out_data = (col @ wmat.T).reshape(n, oh, ow, o).transpose(0, 3, 1, 2) + bias.data.reshape(
         1, o, 1, 1
     )
-    out = _result(np.ascontiguousarray(out_data), (x, weight, bias))
 
-    if x.requires_grad:
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
+        dcol = (gmat @ wmat).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        return _fold(dcol, x, stride, ph, pw)
 
-        def _bw_x(g: np.ndarray) -> np.ndarray:
-            gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
-            dcol = (gmat @ wmat).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcol[
-                        :, :, :, :, i, j
-                    ]
-            return dxp[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else dxp
+    def grad_weight(g: np.ndarray) -> np.ndarray:
+        return (g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o).T @ col).reshape(o, c, kh, kw)
 
-        _record(out, x, _bw_x)
-    if weight.requires_grad:
-        _record(
-            out,
-            weight,
-            lambda g: (g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o).T @ col).reshape(
-                o, c, kh, kw
-            ),
-        )
-    if bias.requires_grad:
-        _record(out, bias, lambda g: g.sum(axis=(0, 2, 3)))
-    return out
+    return _node(
+        np.ascontiguousarray(out_data),
+        (x, grad_x),
+        (weight, grad_weight),
+        (bias, lambda g: g.sum(axis=(0, 2, 3))),
+    )
 
 
 # -- pooling ---------------------------------------------------------------------
@@ -365,28 +346,17 @@ def pool2d(x: Tensor, kind: str, k: int, stride: int, padding: int = 0) -> Tenso
         out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
     else:
         out_data = flat.mean(axis=-1, dtype=x.dtype)
-    out = _result(np.ascontiguousarray(out_data), (x,))
 
-    if x.requires_grad:
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        if kind == "avg":
+            share = np.broadcast_to((g / (k * k))[..., None, None], (n, c, oh, ow, k, k))
+            return _fold(share, x, stride, ph, pw)
+        dxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        nn, cc, ii, jj = np.ogrid[:n, :c, :oh, :ow]
+        np.add.at(dxp, (nn, cc, ii * stride + arg // k, jj * stride + arg % k), g)
+        return dxp[:, :, ph : ph + h, pw : pw + w]
 
-        def _bw(g: np.ndarray) -> np.ndarray:
-            dxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-            ii, jj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-            if kind == "max":
-                di, dj = arg // k, arg % k
-                rows = ii[None, None] * stride + di
-                cols = jj[None, None] * stride + dj
-                nn, cc = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-                np.add.at(dxp, (nn[..., None, None], cc[..., None, None], rows, cols), g)
-            else:
-                share = g / (k * k)
-                for di in range(k):
-                    for dj in range(k):
-                        dxp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride] += share
-            return dxp[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else dxp
-
-        _record(out, x, _bw)
-    return out
+    return _node(np.ascontiguousarray(out_data), (x, grad_x))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -394,9 +364,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool: input {x.shape} must be [N,C,H,W]")
     n, c, h, w = x.shape
-    out = _result(x.data.mean(axis=(2, 3), dtype=x.dtype), (x,))
-    _record(out, x, lambda g: np.broadcast_to((g / (h * w))[:, :, None, None], (n, c, h, w)))
-    return out
+    return _node(
+        x.data.mean(axis=(2, 3), dtype=x.dtype),
+        (x, lambda g: np.broadcast_to((g / (h * w))[:, :, None, None], (n, c, h, w))),
+    )
 
 
 # -- elementwise and shaping ------------------------------------------------------
@@ -405,9 +376,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, v); subgradient at 0 is 0."""
     mask = x.data > 0
-    out = _result(np.where(mask, x.data, x.dtype.type(0)), (x,))
-    _record(out, x, lambda g: g * mask)
-    return out
+    return _node(np.where(mask, x.data, x.dtype.type(0)), (x, lambda g: g * mask))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -420,23 +389,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear: inner dims differ, input {x.shape} vs weight {weight.shape}")
     if bias.shape != (m,):
         raise ShapeError(f"linear: bias {bias.shape} must be ({m},)")
-    out = _result(x.data @ weight.data + bias.data, (x, weight, bias))
     xd, wd = x.data, weight.data
-    _record(out, x, lambda g: g @ wd.T)
-    _record(out, weight, lambda g: xd.T @ g)
-    _record(out, bias, lambda g: g.sum(axis=0))
-    return out
+    return _node(
+        xd @ wd + bias.data,
+        (x, lambda g: g @ wd.T),
+        (weight, lambda g: xd.T @ g),
+        (bias, lambda g: g.sum(axis=0)),
+    )
 
 
 def flatten(x: Tensor) -> Tensor:
     """Keep the leading dim, flatten the rest row-major."""
     if x.data.ndim < 2:
         raise ShapeError(f"flatten: rank must be >= 2, got shape {x.shape}")
-    n = x.shape[0]
-    old = x.shape
-    out = _result(x.data.reshape(n, -1), (x,))
-    _record(out, x, lambda g: g.reshape(old))
-    return out
+    return x.reshape(x.shape[0], -1)
 
 
 def concat_channels(xs: Iterable[Tensor]) -> Tensor:
@@ -452,13 +418,11 @@ def concat_channels(xs: Iterable[Tensor]) -> Tensor:
             raise ShapeError(
                 f"concat_channels: spatial/batch dims differ, {base.shape} vs {t.shape}"
             )
-    out = _result(np.concatenate([t.data for t in xs], axis=1), (*xs,))
-    offset = 0
-    for t in xs:
-        c = t.shape[1]
-        _record(out, t, lambda g, s=offset, e=offset + c: g[:, s:e])
-        offset += c
-    return out
+    ends = list(accumulate(t.shape[1] for t in xs))
+    return _node(
+        np.concatenate([t.data for t in xs], axis=1),
+        *((t, lambda g, s=e - t.shape[1], e=e: g[:, s:e]) for t, e in zip(xs, ends)),
+    )
 
 
 def dropout(x: Tensor, p: float, mode: str, rng: Optional[SplitMix64] = None) -> Tensor:
@@ -474,9 +438,7 @@ def dropout(x: Tensor, p: float, mode: str, rng: Optional[SplitMix64] = None) ->
         raise UsageError("dropout: train mode with p > 0 needs an explicit generator")
     keep = (rng.uniform(shape=x.shape) >= p).astype(x.dtype)
     scale = x.dtype.type(1.0 / (1.0 - p))
-    out = _result(x.data * keep * scale, (x,))
-    _record(out, x, lambda g: g * keep * scale)
-    return out
+    return _node(x.data * keep * scale, (x, lambda g: g * keep * scale))
 
 
 # -- batch normalization -----------------------------------------------------------
@@ -549,32 +511,21 @@ def batch_norm2d(
         var = state.running_var.astype(dt)
     inv = (1.0 / np.sqrt(var + dt.type(epsilon))).astype(dt)
     xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = _result(
-        (gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]).astype(dt),
-        (x, gamma, beta),
-    )
+    scale = (gamma.data * inv)[None, :, None, None]
 
-    if x.requires_grad:
-        if mode == "train":
-            scale = (gamma.data * inv)[None, :, None, None]
-            _record(
-                out,
-                x,
-                lambda g: (
-                    scale
-                    * (
-                        g
-                        - g.mean(axis=(0, 2, 3), keepdims=True, dtype=dt)
-                        - xhat * (g * xhat).mean(axis=(0, 2, 3), keepdims=True, dtype=dt)
-                    )
-                ).astype(dt),
-            )
-        else:
-            scale = (gamma.data * inv)[None, :, None, None]
-            _record(out, x, lambda g: (g * scale).astype(dt))
-    _record(out, gamma, lambda g: (g * xhat).sum(axis=(0, 2, 3), dtype=dt))
-    _record(out, beta, lambda g: g.sum(axis=(0, 2, 3), dtype=dt))
-    return out
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        if mode == "eval":
+            return (g * scale).astype(dt)
+        g_mean = g.mean(axis=(0, 2, 3), keepdims=True, dtype=dt)
+        gx_mean = (g * xhat).mean(axis=(0, 2, 3), keepdims=True, dtype=dt)
+        return (scale * (g - g_mean - xhat * gx_mean)).astype(dt)
+
+    return _node(
+        (gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]).astype(dt),
+        (x, grad_x),
+        (gamma, lambda g: (g * xhat).sum(axis=(0, 2, 3), dtype=dt)),
+        (beta, lambda g: g.sum(axis=(0, 2, 3), dtype=dt)),
+    )
 
 
 # -- classification head ops -------------------------------------------------------
@@ -587,9 +538,9 @@ def softmax(logits: Tensor) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    out = _result(p.astype(logits.dtype), (logits,))
-    _record(out, logits, lambda g: p * (g - (g * p).sum(axis=1, keepdims=True)))
-    return out
+    return _node(
+        p.astype(logits.dtype), (logits, lambda g: p * (g - (g * p).sum(axis=1, keepdims=True)))
+    )
 
 
 def softmax_cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
@@ -610,14 +561,13 @@ def softmax_cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
     n = logits.shape[0]
     z = logits.data
     m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    loss = (lse - (z * t).sum(axis=1)).mean(dtype=logits.dtype)
-    out = _result(np.asarray(loss, dtype=logits.dtype).reshape(()), (logits,))
-    if logits.requires_grad:
-        p = np.exp(z - m)
-        p /= p.sum(axis=1, keepdims=True)
-        _record(out, logits, lambda g: (g * (p - t) / n).astype(logits.dtype))
-    return out
+    e = np.exp(z - m)
+    total = e.sum(axis=1, keepdims=True)
+    loss = (m[:, 0] + np.log(total[:, 0]) - (z * t).sum(axis=1)).mean(dtype=logits.dtype)
+    return _node(
+        np.asarray(loss, dtype=logits.dtype).reshape(()),
+        (logits, lambda g: (g * (e / total - t) / n).astype(logits.dtype)),
+    )
 
 
 # -- verification --------------------------------------------------------------------

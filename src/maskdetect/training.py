@@ -20,7 +20,7 @@ from . import tensor as T
 from .checkpoint import load_into
 from .config import Config
 from .data import AugmentConfig, DatasetIndex, batches
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, NonFiniteError, UsageError
 from .metrics import ClassReport, ConfusionMatrix, classification_report, confusion
 from .nn import BackboneConfig, HeadConfig, Model, build_model
 from .rng import SplitMix64
@@ -185,16 +185,26 @@ def restore_state(model: Model, state: dict) -> None:
 
 
 def train_epoch(model: Model, batch_stream, optimizer: Adam,
-                rng: SplitMix64 | None) -> tuple[float, float]:
-    """One optimization pass; returns (mean loss, accuracy) over the epoch."""
+                rng: SplitMix64 | None, epoch: int = 1) -> tuple[float, float]:
+    """One optimization pass; returns (mean loss, accuracy) over the epoch.
+
+    Raises :class:`NonFiniteError` before stepping on a batch whose loss or
+    trainable gradient is not finite; ``epoch`` only labels that message.
+    """
     total_loss = 0.0
     correct = 0
     seen = 0
-    for x, y in batch_stream:
+    for batch, (x, y) in enumerate(batch_stream, start=1):
         model.zero_grad()
         logits = model.forward_logits(x, mode="train", rng=rng)
         loss = T.softmax_cross_entropy(logits, y)
         loss.backward()
+        where = f"at epoch {epoch}, batch {batch}"
+        if not np.isfinite(loss.data).all():
+            raise NonFiniteError(f"training loss is {loss.item()} {where}")
+        for p in optimizer.params:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NonFiniteError(f"gradient of {p.name} is not finite {where}")
         optimizer.step()
         n = x.shape[0]
         total_loss += float(loss.item()) * n
@@ -253,7 +263,7 @@ def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_
             index, "train", config.batch_size, shuffle=True,
             augment_config=config.augment, rng=rng, image_size=size, epoch=epoch,
         )
-        train_loss, train_acc = train_epoch(model, train_stream, optimizer, dropout_rng)
+        train_loss, train_acc = train_epoch(model, train_stream, optimizer, dropout_rng, epoch)
         val = evaluate(
             model, batches(index, "val", config.batch_size, False, image_size=size)
         )
@@ -335,7 +345,7 @@ def pretrain_backbone(index: DatasetIndex, backbone_config: BackboneConfig,
     for epoch in range(1, epochs + 1):
         stream = batches(index, "train", batch_size, shuffle=True,
                          rng=rng, image_size=size, epoch=epoch)
-        train_epoch(model, stream, optimizer, dropout_rng)
+        train_epoch(model, stream, optimizer, dropout_rng, epoch)
     return model
 
 

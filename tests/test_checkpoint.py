@@ -234,9 +234,14 @@ def test_bad_architecture_is_checkpoint_error(tmp_path):
         header["backbone"]["num_blocks"] = 0
         return header
 
-    _rewrite_header(good, bad, zero_blocks)
-    with pytest.raises(CheckpointError, match="num_blocks"):
-        load_checkpoint(bad)
+    def negative_width(header):
+        header["backbone"]["widths"]["b1x1"] = -5
+        return header
+
+    for mutate, named in ((zero_blocks, "num_blocks"), (negative_width, "width must be >= 1")):
+        _rewrite_header(good, bad, mutate)
+        with pytest.raises(CheckpointError, match=named):
+            load_checkpoint(bad)
 
 
 def test_load_checkpoint_reads_file_once(tmp_path, monkeypatch):

@@ -291,6 +291,15 @@ def test_train_zero_epochs_is_evaluation_only(corpus, tiny_config, tmp_path):
         assert np.array_equal(param.data, fresh_params[name].data), name
 
 
+def test_train_non_finite_loss_exits_one(corpus, tiny_config, tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        code = main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
+                     "--config", str(tiny_config), "--train.lr_phase1", "1e30"])
+    assert code == 1
+    assert "error: training loss is nan at epoch 1, batch 2" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "final.ckpt").exists()
+
+
 def test_train_init_backbone(corpus, tiny_config, train_run, tmp_path):
     out = tmp_path / "adopted"
     code = main(["train", "--data", str(corpus), "--out", str(out),
@@ -340,15 +349,17 @@ def test_evaluate_unknown_split_exits_two(corpus, train_run, tmp_path, capsys):
 def test_evaluate_bad_architecture_checkpoint_exits_one(corpus, train_run, tmp_path, capsys):
     raw = (train_run / "best.ckpt").read_bytes()
     (hlen,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8:8 + hlen])
-    header["backbone"]["num_blocks"] = 0
-    enc = json.dumps(header).encode()
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + raw[8 + hlen:])
-    code = main(["evaluate", "--data", str(corpus), "--checkpoint", str(bad),
-                 "--out", str(tmp_path / "e")])
-    assert code == 1
-    assert "num_blocks" in capsys.readouterr().err
+    for key, value, named in (("num_blocks", 0, "num_blocks"),
+                              ("stem_channels", [8, 0, 16], "stem_channels")):
+        header = json.loads(raw[8:8 + hlen])
+        header["backbone"][key] = value
+        enc = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + raw[8 + hlen:])
+        code = main(["evaluate", "--data", str(corpus), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert named in capsys.readouterr().err
 
 
 def test_evaluate_missing_checkpoint_fails(corpus, tmp_path):

@@ -11,6 +11,7 @@ from maskdetect.cli import RunConfig, default_config, main
 from maskdetect.config import Config, encode, parse_text
 from maskdetect.data import save_ppm, synth_dataset
 from maskdetect.errors import ConfigError
+from maskdetect.nn import BackboneConfig
 from maskdetect.rng import SplitMix64
 
 FIXTURE_XML = os.path.join(os.path.dirname(__file__), "fixtures", "face_cascade.xml")
@@ -99,6 +100,13 @@ def test_all_problems_are_reported_together():
     assert "head: dropout_rate must be in [0, 1)" in message
 
 
+def test_widths_and_stem_channels_must_be_positive():
+    message = _problems(BackboneConfig, {"input_size": 32, "widths": {"b1x1": -5, "b3x3": 0},
+                                         "stem_channels": [0, -3, 4]})
+    assert "widths: every width must be >= 1, got {'b1x1': -5, 'b3x3': 0}" in message
+    assert "stem_channels must be >= 1, got (0, -3, 4)" in message
+
+
 def test_top_level_must_be_an_object():
     assert "config: expected an object" in _problems(Outer, [1])
 
@@ -166,6 +174,30 @@ def test_unknown_key_and_wrong_type_in_one_message(inputs, tmp_path, capsys):
     for named in ("unknown config key: train.epochz", "detect.step: expected an integer",
                   "--detect.min_size: expected an integer, got 'big'"):
         assert named in err
+
+
+CROSS_SECTION_CONFIGS = [
+    ({"backbone": {"num_blocks": 2, "factorized_blocks": [2]}, "train": {"unfreeze_last_k": 9}},
+     ["train.unfreeze_last_k=9 exceeds backbone.num_blocks=2"]),
+    ({"data": {"ratios": [0.5, 0.5, 0.5]}, "train": {"unfreeze_last_k": 9}},
+     ["data: ratios must sum to 1", "train.unfreeze_last_k=9 exceeds backbone.num_blocks=4"]),
+]
+
+
+@pytest.mark.parametrize("config, named", CROSS_SECTION_CONFIGS, ids=["unfreeze", "ratios"])
+def test_cross_section_problems_stop_train_before_any_output(inputs, tmp_path, capsys,
+                                                             config, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "r"
+    code = main(["train", "--data", str(inputs / "corpus"), "--out", str(out),
+                 "--config", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("config validation failed") == 1
+    for problem in named:
+        assert problem in err
+    assert not (out / "config.json").exists() and not (out / "split.json").exists()
 
 
 FUZZ_VALUES = [None, True, False, -1, 0, 1.5, float("nan"), "x", "", [], [1, "a"], {}, {"k": 1}]

@@ -304,9 +304,7 @@ def test_detector_flags_corrupted_gradient():
     # an op whose backward overstates the true derivative by 1% must trip
     # the float32 tolerance; the honest version must pass it
     def corrupt_identity(x):
-        out = T._result(x.data.copy(), (x,))
-        T._record(out, x, lambda g: g * 1.01)
-        return out
+        return T._node(x.data.copy(), (x, lambda g: g * 1.01))
 
     x = T.Tensor(np.linspace(-2, 2, 9).astype(np.float64))
 

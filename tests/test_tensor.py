@@ -413,12 +413,20 @@ def test_backward_without_reset_is_an_error():
     assert np.allclose(t.grad, 3.0)  # fresh accumulation, not doubled
 
 
-def test_gradient_accumulates_within_one_backward():
-    # a tensor used twice receives the sum of both path contributions
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda t: t * 3.0 + t * 5.0, 8.0),  # two paths through two ops
+        (lambda t: t * t, 4.0),  # one op with t on both sides: d(t^2) = 2t
+        (lambda t: t + t, 2.0),
+    ],
+    ids=["two_ops", "mul_self", "add_self"],
+)
+def test_gradient_accumulates_within_one_backward(build, expected):
+    # a tensor used twice receives the sum of both contributions
     t = T.Tensor(np.array([2.0]), requires_grad=True)
-    y = (t * 3.0 + t * 5.0).sum()
-    y.backward()
-    assert np.allclose(t.grad, 8.0)
+    build(t).sum().backward()
+    assert np.allclose(t.grad, expected)
 
 
 def test_no_grad_inputs_build_no_graph():
@@ -427,7 +435,20 @@ def test_no_grad_inputs_build_no_graph():
     y = T.conv2d(x, w, T.Tensor(np.zeros(2)), padding=1)
     assert not y.requires_grad
     assert y._parents == ()
-    assert y._backward_fn is None
+    assert y._grad_fns == ()
+
+
+def test_constant_input_keeps_only_trainable_edges():
+    x = T.Tensor(np.ones((1, 2, 4, 4)))
+    w = T.Tensor(np.ones((2, 2, 3, 3)), requires_grad=True)
+    b = T.Tensor(np.zeros(2), requires_grad=True)
+    y = T.conv2d(x, w, b, padding=1)
+    assert y.requires_grad
+    assert y._parents == (w, b)  # edges in input order, x dropped
+    assert len(y._grad_fns) == 2
+    y.sum().backward()
+    assert x.grad is None
+    assert w.grad is not None and b.grad is not None
 
 
 def test_frozen_branch_gets_no_gradient():

@@ -7,7 +7,7 @@ import pytest
 
 from maskdetect.checkpoint import load_into, save_checkpoint
 from maskdetect.data import split_dataset, synth_dataset
-from maskdetect.errors import CheckpointError, ConfigError, UsageError
+from maskdetect.errors import CheckpointError, ConfigError, NonFiniteError, UsageError
 from maskdetect.nn import BackboneConfig, HeadConfig, build_model
 from maskdetect.rng import SplitMix64
 from maskdetect.tensor import Parameter, Tensor
@@ -185,6 +185,21 @@ def test_train_epoch_empty_stream():
     opt = Adam(model.trainable_parameters(), lr=1e-3)
     with pytest.raises(UsageError):
         train_epoch(model, iter([]), opt, SplitMix64(0))
+
+
+@pytest.mark.parametrize("lr, named", [
+    (1e30, "training loss is nan at epoch 3, batch 2"),
+    (1e10, "gradient of backbone.stem.0.conv.weight is not finite at epoch 3, batch 2"),
+])
+def test_train_epoch_stops_on_non_finite_values(lr, named):
+    # one step at a huge rate blows the weights up; the next batch's loss
+    # or gradient is then not finite and must stop the run before stepping
+    model = build_model(tiny_backbone(), HeadConfig(16, 1, dropout_rate=0.0), 1)
+    opt = Adam(model.trainable_parameters(), lr=lr)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+        train_epoch(model, iter(blob_batches(3, n_batches=3)), opt, SplitMix64(0), epoch=3)
+    assert named in str(info.value)
+    assert opt.t == 1
 
 
 def test_evaluate_constant_predictor_on_balanced_set():
