@@ -503,7 +503,7 @@ def load_cascade_json(path) -> Cascade:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise CascadeFormatError(f"{path}: cannot read: {e}") from e
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CascadeFormatError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise CascadeFormatError(f"{path}: /: expected a JSON object")

@@ -67,6 +67,7 @@ from .metrics import render_report
 from .nn import BackboneConfig, HeadConfig, build_model, desk_backbone
 from .tensor import Tensor
 from .training import (
+    EpochLog,
     TrainConfig,
     evaluate,
     restore_state,
@@ -156,7 +157,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 file_config = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(file_config, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
@@ -282,13 +283,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         load_into(model, args.init_backbone, prefix="backbone.")
         print(f"loaded backbone weights from {args.init_backbone}")
 
-    result = two_phase_train(model, index, train_config)
-    for log in result.logs:
+    def report_epoch(log: EpochLog) -> None:
         print(
             f"epoch {log.epoch:3d} phase {log.phase}  "
             f"train_loss {log.train_loss:.4f} train_acc {log.train_acc:.4f}  "
-            f"val_loss {log.val_loss:.4f} val_acc {log.val_acc:.4f}"
+            f"val_loss {log.val_loss:.4f} val_acc {log.val_acc:.4f}",
+            flush=True,
         )
+
+    result = two_phase_train(model, index, train_config, on_epoch=report_epoch)
     write_logs(result.logs, os.path.join(out_dir, "logs.csv"))
     save_checkpoint(model, os.path.join(out_dir, "final.ckpt"))
 

@@ -260,11 +260,20 @@ def save_split_manifest(index: DatasetIndex, path: str) -> None:
 
 
 def load_split_manifest(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"split manifest is not valid JSON: {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"split manifest must be a JSON object: {path}")
     for key in ("seed", "ratios", "splits"):
         if key not in manifest:
             raise ConfigError(f"split manifest missing key '{key}': {path}")
+    if not isinstance(manifest["splits"], dict):
+        raise ConfigError(f"split manifest 'splits' must be an object: {path}")
+    if not isinstance(manifest["ratios"], list):
+        raise ConfigError(f"split manifest 'ratios' must be a list: {path}")
     return manifest
 
 

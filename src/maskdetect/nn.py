@@ -338,20 +338,32 @@ class Model:
         if x.dtype != np.float32:
             raise ParameterError(f"model input must be float32, got {x.dtype}")
 
-    def features(self, x: T.Tensor, mode: str = "eval") -> T.Tensor:
-        self._check_input(x)
+    @property
+    def num_stages(self) -> int:
+        """Stages of the forward pass: each stem unit and block, then global
+        average pooling, then the head."""
+        return len(self._units()) + 2
+
+    def run(self, x: T.Tensor, start: int = 0, stop: Optional[int] = None,
+            mode: str = "eval", rng: Optional[SplitMix64] = None) -> T.Tensor:
+        """Stages ``[start, stop)`` of the forward pass (to the logits when
+        ``stop`` is None).  Only a run from stage 0 checks its input."""
+        if start == 0:
+            self._check_input(x)
         if mode not in ("train", "eval"):
             raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
+        units = self._units()
         y = x
-        for unit in self.stem:
-            y = unit.forward(y, mode)
-        for block in self.blocks:
-            y = block.forward(y, mode)
-        return T.global_avg_pool(y)
+        for k in range(start, self.num_stages if stop is None else stop):
+            if k < len(units):
+                y = units[k].forward(y, mode)
+            elif k == len(units):
+                y = T.global_avg_pool(y)
+            else:
+                y = self._head(y, mode, rng)
+        return y
 
-    def forward_logits(self, x: T.Tensor, mode: str = "eval",
-                       rng: Optional[SplitMix64] = None) -> T.Tensor:
-        y = self.features(x, mode)
+    def _head(self, y: T.Tensor, mode: str, rng: Optional[SplitMix64]) -> T.Tensor:
         for fc in self.fcs:
             y = T.relu(fc.forward(y))
         if self.fcs and self.dropout_rate > 0.0:
@@ -359,6 +371,22 @@ class Model:
                 raise UsageError("train-mode forward with dropout needs a generator")
             y = T.dropout(y, self.dropout_rate, mode, rng)
         return self.out.forward(y)
+
+    def frozen_stages(self) -> int:
+        """How many leading stages hold no trainable parameter.  Pooling
+        counts as frozen once every stem unit and block is."""
+        units = self._units()
+        for k, unit in enumerate(units):
+            if any(p.trainable for p in unit.parameters()):
+                return k
+        return len(units) + 1
+
+    def features(self, x: T.Tensor, mode: str = "eval") -> T.Tensor:
+        return self.run(x, 0, self.num_stages - 1, mode)
+
+    def forward_logits(self, x: T.Tensor, mode: str = "eval",
+                       rng: Optional[SplitMix64] = None) -> T.Tensor:
+        return self.run(self.features(x, mode), self.num_stages - 1, mode=mode, rng=rng)
 
     def forward(self, x: T.Tensor, mode: str = "eval",
                 rng: Optional[SplitMix64] = None) -> T.Tensor:

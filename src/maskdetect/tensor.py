@@ -374,9 +374,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, v); subgradient at 0 is 0."""
-    mask = x.data > 0
-    return _node(np.where(mask, x.data, x.dtype.type(0)), (x, lambda g: g * mask))
+    """Elementwise max(0, v); subgradient at 0 is 0.  A NaN passes through,
+    so a non-finite input still reaches the loss."""
+    xd = x.data
+    return _node(np.where(xd <= 0, x.dtype.type(0), xd), (x, lambda g: g * (xd > 0)))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

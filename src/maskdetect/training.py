@@ -13,6 +13,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -185,18 +186,21 @@ def restore_state(model: Model, state: dict) -> None:
 
 
 def train_epoch(model: Model, batch_stream, optimizer: Adam,
-                rng: SplitMix64 | None, epoch: int = 1) -> tuple[float, float]:
+                rng: SplitMix64 | None, epoch: int = 1,
+                start: int = 0) -> tuple[float, float]:
     """One optimization pass; returns (mean loss, accuracy) over the epoch.
 
-    Raises :class:`NonFiniteError` before stepping on a batch whose loss or
-    trainable gradient is not finite; ``epoch`` only labels that message.
+    The stream's inputs enter the model at stage ``start`` (see
+    :meth:`Model.run`).  Raises :class:`NonFiniteError` before stepping on
+    a batch whose loss or trainable gradient is not finite; ``epoch`` only
+    labels that message.
     """
     total_loss = 0.0
     correct = 0
     seen = 0
     for batch, (x, y) in enumerate(batch_stream, start=1):
         model.zero_grad()
-        logits = model.forward_logits(x, mode="train", rng=rng)
+        logits = model.run(x, start, mode="train", rng=rng)
         loss = T.softmax_cross_entropy(logits, y)
         loss.backward()
         where = f"at epoch {epoch}, batch {batch}"
@@ -215,18 +219,19 @@ def train_epoch(model: Model, batch_stream, optimizer: Adam,
     return total_loss / seen, correct / seen
 
 
-def evaluate(model: Model, batch_stream) -> EvalResult:
+def evaluate(model: Model, batch_stream, start: int = 0) -> EvalResult:
     """Deterministic eval pass: loss, confusion matrix and the full report.
 
-    The prediction for a row is the argmax of its softmax output; exact
-    ties resolve to the lowest class index.
+    The stream's inputs enter the model at stage ``start``.  The
+    prediction for a row is the argmax of its softmax output; exact ties
+    resolve to the lowest class index.
     """
     preds: list[int] = []
     truths: list[int] = []
     total_loss = 0.0
     seen = 0
     for x, y in batch_stream:
-        logits = model.forward_logits(x, mode="eval")
+        logits = model.run(x, start)
         loss = T.softmax_cross_entropy(logits, y)
         probs = T.softmax(logits)
         preds.extend(int(k) for k in np.argmax(probs.data, axis=1))
@@ -251,22 +256,82 @@ def evaluate(model: Model, batch_stream) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_epoch):
-    size = model.backbone_config.input_size
+# A split's frozen-prefix outputs are kept for a phase only while they fit
+# in this many bytes; a larger split runs the prefix again for each batch.
+_PREFIX_CACHE_BYTES = 256 << 20
+
+
+def _prefix_batches(model, stop, index, config, split, rng=None, epoch=0):
+    """One epoch of ``split`` through the frozen stages ``[0, stop)``, in
+    eval mode: they hold nothing trainable, so train mode would give the
+    same bits.  A ``rng`` shuffles and, on the train split, augments."""
+    augment = config.augment if split == "train" else None
+    stream = batches(index, split, config.batch_size, rng is not None,
+                     augment_config=augment, rng=rng,
+                     image_size=model.backbone_config.input_size, epoch=epoch)
+    for x, y in stream:
+        yield model.run(x, 0, stop), y
+
+
+def _memoise(model, stop, index, config, split):
+    """The prefix outputs and targets of every sample of ``split``, in split
+    order; None for an empty split or one past ``_PREFIX_CACHE_BYTES``."""
+    count = len(index.samples_for(split))
+    rows = None
+    at = 0
+    for x, y in _prefix_batches(model, stop, index, config, split):
+        if rows is None:  # filled in place, so the budget bounds the peak too
+            if x.data[0].nbytes * count > _PREFIX_CACHE_BYTES:
+                return None
+            rows = tuple(np.empty((count,) + a.shape[1:], a.dtype) for a in (x.data, y.data))
+        n = x.shape[0]
+        rows[0][at : at + n] = x.data
+        rows[1][at : at + n] = y.data
+        at += n
+    return rows
+
+
+def _memo_batches(rows, batch_size, rng=None, epoch=0):
+    """Batches of memoised rows, in the order ``data.batches`` would give
+    their samples: shuffled by ``rng`` for ``epoch`` when one is given."""
+    xs, ys = rows
+    order = list(range(len(xs)))
+    if rng is not None:
+        rng.derive("order", epoch).shuffle(order)
+    for i in range(0, len(order), batch_size):
+        pick = order[i : i + batch_size]
+        yield T.Tensor(xs[pick]), T.Tensor(ys[pick])
+
+
+def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_epoch,
+               on_epoch=None):
     lr = config.lr_phase1 if phase == 1 else config.lr_phase2
     epochs = config.epochs_phase1 if phase == 1 else config.epochs_phase2
     optimizer = Adam(model.trainable_parameters(), lr)
+    # Training starts at the first stage with a trainable parameter.  The
+    # frozen prefix before it is a pure function of an unaugmented image,
+    # so it runs once per phase over the val split (and the train split
+    # when augmentation is off); each epoch then runs only the rest.
+    stop = model.frozen_stages()
+    val_rows = train_rows = None
+    if epochs:
+        val_rows = _memoise(model, stop, index, config, "val")
+        if config.augment is None:
+            train_rows = _memoise(model, stop, index, config, "train")
     for k in range(epochs):
         epoch = start_epoch + k
         started = time.perf_counter()
-        train_stream = batches(
-            index, "train", config.batch_size, shuffle=True,
-            augment_config=config.augment, rng=rng, image_size=size, epoch=epoch,
-        )
-        train_loss, train_acc = train_epoch(model, train_stream, optimizer, dropout_rng, epoch)
-        val = evaluate(
-            model, batches(index, "val", config.batch_size, False, image_size=size)
-        )
+        if train_rows is None:
+            train_stream = _prefix_batches(model, stop, index, config, "train", rng, epoch)
+        else:
+            train_stream = _memo_batches(train_rows, config.batch_size, rng, epoch)
+        train_loss, train_acc = train_epoch(model, train_stream, optimizer, dropout_rng,
+                                            epoch, start=stop)
+        if val_rows is None:
+            val_stream = _prefix_batches(model, stop, index, config, "val")
+        else:
+            val_stream = _memo_batches(val_rows, config.batch_size)
+        val = evaluate(model, val_stream, start=stop)
         logs.append(EpochLog(
             epoch=epoch,
             phase=phase,
@@ -276,6 +341,8 @@ def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_
             val_acc=val.accuracy,
             wall_seconds=time.perf_counter() - started,
         ))
+        if on_epoch is not None:
+            on_epoch(logs[-1])
         if val.accuracy > best["acc"]:
             best["acc"] = val.accuracy
             best["epoch"] = epoch
@@ -283,15 +350,16 @@ def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_
     return start_epoch + epochs
 
 
-def two_phase_train(model: Model, index: DatasetIndex,
-                    config: TrainConfig) -> TrainResult:
+def two_phase_train(model: Model, index: DatasetIndex, config: TrainConfig,
+                    on_epoch: Callable[[EpochLog], None] | None = None) -> TrainResult:
     """Freeze the backbone and train the head, then unfreeze the last k
     blocks and fine-tune at the smaller rate.
 
     The model should already carry useful backbone weights (a pretrained
     checkpoint) — that is what phase 1's freezing preserves.  Returns the
     final model, per-epoch logs tagged by phase, and a snapshot of the
-    best-validation-accuracy state.
+    best-validation-accuracy state.  ``on_epoch`` gets each epoch's log as
+    soon as it is appended.
     """
     config.validate()
     num_blocks = model.backbone_config.num_blocks
@@ -306,11 +374,12 @@ def two_phase_train(model: Model, index: DatasetIndex,
     best = {"acc": -1.0, "epoch": 0, "state": None}
 
     model.set_trainable("backbone", False)
-    next_epoch = _run_phase(model, index, config, 1, rng, dropout_rng, logs, best, 1)
+    next_epoch = _run_phase(model, index, config, 1, rng, dropout_rng, logs, best, 1,
+                            on_epoch)
 
     for b in range(num_blocks - config.unfreeze_last_k + 1, num_blocks + 1):
         model.set_trainable(f"backbone.block{b}", True)
-    _run_phase(model, index, config, 2, rng, dropout_rng, logs, best, next_epoch)
+    _run_phase(model, index, config, 2, rng, dropout_rng, logs, best, next_epoch, on_epoch)
 
     if best["state"] is None:  # no epoch ran a validation pass
         best["state"] = capture_state(model)

@@ -486,6 +486,13 @@ def test_json_missing_stage_threshold_pointer(tmp_path):
         load_cascade_json(p)
 
 
+def test_json_cascade_not_utf8_is_a_format_error(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(CascadeFormatError, match="not valid JSON"):
+        load_cascade_json(p)
+
+
 def test_json_schema_violations_report_pointers(tmp_path):
     p = tmp_path / "c.json"
 

@@ -224,6 +224,15 @@ def test_invalid_config_json_exits_two(corpus, tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_config_not_utf8_exits_two(corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code = main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
+                 "--config", str(bad)])
+    assert code == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_flag_into_disabled_section_exits_two(corpus, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"augment": None}}))
@@ -251,6 +260,23 @@ def test_train_writes_all_artifacts(train_run):
     assert "Accuracy" in report and "Weighted_avg" in report
     confusion = (train_run / "confusion.csv").read_text().strip().splitlines()
     assert len(confusion) == 4  # header + 3 classes
+
+
+def test_train_stdout_is_epoch_lines_then_report(corpus, tiny_config, tmp_path, capsys):
+    out = tmp_path / "printed"
+    assert main(["train", "--data", str(corpus), "--out", str(out),
+                 "--config", str(tiny_config)]) == 0
+    want = []
+    for row in (out / "logs.csv").read_text().strip().splitlines()[1:]:
+        epoch, phase, tl, ta, vl, va, _ = row.split(",")
+        want.append(f"epoch {int(epoch):3d} phase {phase}  "
+                    f"train_loss {float(tl):.4f} train_acc {float(ta):.4f}  "
+                    f"val_loss {float(vl):.4f} val_acc {float(va):.4f}")
+    want.append((out / "report.txt").read_text().removesuffix("\n"))
+    metrics = json.loads((out / "metrics.json").read_text())
+    want.append(f"test accuracy {metrics['accuracy']:.4f} (best val "
+                f"{metrics['best_val_acc']:.4f} at epoch {metrics['best_epoch']}) -> {out}")
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 def test_train_rerun_is_bit_identical(corpus, tiny_config, train_run, tmp_path):

@@ -632,6 +632,20 @@ def test_split_manifest_errors(tmp_path):
         load_split_manifest(path)
 
 
+@pytest.mark.parametrize("content", [
+    b"5",                                                     # not an object
+    b"{bad",                                                  # not JSON
+    b"\xff\xfe{}",                                            # not UTF-8
+    b'{"seed": 1, "ratios": [0.7, 0.15, 0.15], "splits": []}',
+    b'{"seed": 1, "ratios": 0.7, "splits": {}}',
+])
+def test_split_manifest_malformed_file_is_a_config_error(tmp_path, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError):
+        load_split_manifest(path)
+
+
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------

@@ -178,6 +178,16 @@ def test_relu_values_and_zero_subgradient():
     assert np.array_equal(t.grad, [0.0, 0.0, 0.0, 1.0])
 
 
+def test_relu_keeps_nan_and_positive_zero():
+    t = T.Tensor(np.array([np.nan, -0.0, 1.0, -3.0], dtype=np.float32), requires_grad=True)
+    y = T.relu(t)
+    assert np.isnan(y.data[0])
+    assert np.array_equal(y.data[1:], [0.0, 1.0, 0.0])
+    assert not np.signbit(y.data[1])  # -0.0 comes out as +0.0
+    y.sum().backward()
+    assert np.array_equal(t.grad, [0.0, 0.0, 1.0, 0.0])  # the mask is x > 0
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_linear_matches_loop_oracle(seed):
     rng = SplitMix64(3000 + seed)

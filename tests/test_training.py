@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from maskdetect import data as data_module
+from maskdetect import training
 from maskdetect.checkpoint import load_into, save_checkpoint
-from maskdetect.data import split_dataset, synth_dataset
+from maskdetect.data import AugmentConfig, batches, split_dataset, synth_dataset
 from maskdetect.errors import CheckpointError, ConfigError, NonFiniteError, UsageError
 from maskdetect.nn import BackboneConfig, HeadConfig, build_model
 from maskdetect.rng import SplitMix64
@@ -202,6 +204,17 @@ def test_train_epoch_stops_on_non_finite_values(lr, named):
     assert opt.t == 1
 
 
+def test_train_epoch_stops_on_a_nan_pixel():
+    # a NaN input must reach the loss through every relu, not turn into 0
+    model = frozen_head_model()
+    (x, y), = blob_batches(3, n_batches=1)
+    x.data[2, 1, 5, 7] = np.nan
+    opt = Adam(model.trainable_parameters(), lr=1e-3)
+    with pytest.raises(NonFiniteError, match="training loss is nan at epoch 1, batch 1"):
+        train_epoch(model, iter([(x, y)]), opt, SplitMix64(0))
+    assert opt.t == 0
+
+
 def test_evaluate_constant_predictor_on_balanced_set():
     model = frozen_head_model()
     model.out.weight.tensor.data[...] = 0.0
@@ -325,7 +338,6 @@ def test_two_phase_best_state_restores(tmp_path):
     assert 0.0 <= result.best_val_acc <= 1.0
     fresh = build_model(tiny_backbone(), HeadConfig(16, 1), seed=99)
     restore_state(fresh, result.best_state)
-    from maskdetect.data import batches
     val = evaluate(fresh, batches(index, "val", 8, False, image_size=32))
     assert val.accuracy == result.best_val_acc
 
@@ -335,6 +347,100 @@ def test_two_phase_unfreeze_bound(tmp_path):
     model = build_model(tiny_backbone(), HeadConfig(16, 1), seed=0)
     with pytest.raises(ConfigError):
         two_phase_train(model, index, quick_config(unfreeze_last_k=3))
+
+
+def test_two_phase_on_epoch_sees_each_log_in_order(tmp_path):
+    index = small_corpus(tmp_path)
+    model = build_model(tiny_backbone(), HeadConfig(16, 1), seed=2)
+    seen = []
+    result = two_phase_train(model, index, quick_config(epochs_phase1=2),
+                             on_epoch=lambda log: seen.append(log))
+    assert seen == result.logs
+    assert all(a is b for a, b in zip(seen, result.logs))
+
+
+def reference_two_phase(model, index, config):
+    """The two-phase schedule as plain full-model epochs over data.batches:
+    (logs minus wall_seconds, best epoch, best state)."""
+    size = model.backbone_config.input_size
+    num_blocks = model.backbone_config.num_blocks
+    rng = SplitMix64(config.seed)
+    dropout_rng = rng.derive("dropout")
+    logs, best = [], (-1.0, 0, None)
+    model.set_trainable("backbone", False)
+    epoch = 0
+    for phase, epochs, lr in ((1, config.epochs_phase1, config.lr_phase1),
+                              (2, config.epochs_phase2, config.lr_phase2)):
+        if phase == 2:
+            for b in range(num_blocks - config.unfreeze_last_k + 1, num_blocks + 1):
+                model.set_trainable(f"backbone.block{b}", True)
+        opt = Adam(model.trainable_parameters(), lr)
+        for _ in range(epochs):
+            epoch += 1
+            train = batches(index, "train", config.batch_size, True, config.augment, rng,
+                            image_size=size, epoch=epoch)
+            train_loss, train_acc = train_epoch(model, train, opt, dropout_rng, epoch)
+            val = evaluate(model, batches(index, "val", config.batch_size, False,
+                                          image_size=size))
+            logs.append((epoch, phase, train_loss, train_acc, val.loss, val.accuracy))
+            if val.accuracy > best[0]:
+                best = (val.accuracy, epoch, capture_state(model))
+    return logs, best[1], best[2]
+
+
+@pytest.mark.parametrize("overrides, dropout_rate, cache_bytes", [
+    ({}, 0.0, None),
+    ({"augment": AugmentConfig()}, 0.0, None),
+    ({}, 0.3, None),
+    ({"augment": AugmentConfig()}, 0.3, None),
+    ({"unfreeze_last_k": 0}, 0.0, None),
+    ({"unfreeze_last_k": 2}, 0.3, None),   # every block of the tiny backbone
+    ({"epochs_phase1": 0}, 0.0, None),
+    ({}, 0.3, 0),   # no cache room: every split runs its prefix per batch
+])
+def test_two_phase_matches_full_model_reference(tmp_path, monkeypatch, overrides,
+                                                dropout_rate, cache_bytes):
+    if cache_bytes is not None:
+        monkeypatch.setattr(training, "_PREFIX_CACHE_BYTES", cache_bytes)
+    index = small_corpus(tmp_path)
+    config = quick_config(**{"epochs_phase1": 2, "epochs_phase2": 2, **overrides})
+
+    def fresh():
+        return build_model(tiny_backbone(), HeadConfig(16, 1, dropout_rate), seed=4)
+
+    ref, model = fresh(), fresh()
+    want_logs, want_epoch, want_best = reference_two_phase(ref, index, config)
+    result = two_phase_train(model, index, config)
+    got_logs = [(g.epoch, g.phase, g.train_loss, g.train_acc, g.val_loss, g.val_acc)
+                for g in result.logs]
+    assert got_logs == want_logs
+    assert result.best_epoch == want_epoch
+    final = capture_state(model)
+    for name, value in capture_state(ref).items():
+        assert np.array_equal(final[name], value), name
+        assert np.array_equal(result.best_state[name], want_best[name]), name
+
+
+def count_loads(monkeypatch):
+    """Count data.load_ppm calls per path from here on."""
+    loads = {}
+    original = data_module.load_ppm
+
+    def counting(path):
+        loads[path] = loads.get(path, 0) + 1
+        return original(path)
+
+    monkeypatch.setattr(data_module, "load_ppm", counting)
+    return loads
+
+
+def test_two_phase_loads_each_image_once_per_phase(tmp_path, monkeypatch):
+    index = small_corpus(tmp_path)
+    loads = count_loads(monkeypatch)
+    model = build_model(tiny_backbone(), HeadConfig(16, 1), seed=4)
+    two_phase_train(model, index, quick_config(epochs_phase1=3, epochs_phase2=2))
+    want = {s.path: 2 for s in index.samples if s.split in ("train", "val")}
+    assert loads == want
 
 
 def test_train_config_defaults_and_dicts():
