@@ -10,7 +10,6 @@ until the final variance normalization.
 from __future__ import annotations
 
 import json
-import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,8 @@ from .config import Config
 from .errors import CascadeFormatError, InputError, ParameterError
 
 IOU_GROUPING_THRESHOLD = 0.3
+# bound on the pyramid: the default scale_factor 1.1 needs about 32 scales at 640x480
+MAX_SCALES = 1000
 
 
 # -- pixels and integral tables ---------------------------------------------------
@@ -161,12 +162,19 @@ class DetectParams(Config):
 # -- window evaluation ------------------------------------------------------------------
 
 
+def _window_size(cascade: Cascade, scale: float) -> tuple:
+    return (max(1, int(round(cascade.base_width * scale))),
+            max(1, int(round(cascade.base_height * scale))))
+
+
 def _scale_rects(cascade: Cascade, scale: float) -> list:
     """Per-stage scaled rect geometry with area-renormalized weights.
 
-    Each rect's corner and size round to integers; its weight is multiplied
-    by (ideal scaled area) / (rounded area) so rounding does not tilt the
-    balance between a feature's rectangles.
+    Both corners of each rect round to integers and a rect keeps at least
+    one pixel.  Rounding is monotone, so at any scale >= 1 a rect inside
+    the base window stays inside the rounded window.  Its weight is
+    multiplied by (ideal scaled area) / (rounded area) so rounding does
+    not tilt the balance between a feature's rectangles.
     """
     scaled = []
     for stage in cascade.stages:
@@ -176,8 +184,8 @@ def _scale_rects(cascade: Cascade, scale: float) -> list:
             for r in wc.feature.rects:
                 rx = int(round(r.x * scale))
                 ry = int(round(r.y * scale))
-                rw = max(1, int(round(r.w * scale)))
-                rh = max(1, int(round(r.h * scale)))
+                rw = max(1, int(round((r.x + r.w) * scale)) - rx)
+                rh = max(1, int(round((r.y + r.h) * scale)) - ry)
                 weight = r.weight * (r.w * r.h * scale * scale) / (rw * rh)
                 rects.append((rx, ry, rw, rh, weight))
             stage_rects.append((tuple(rects), wc.threshold, wc.left_value, wc.right_value))
@@ -185,28 +193,59 @@ def _scale_rects(cascade: Cascade, scale: float) -> list:
     return scaled
 
 
-def _eval_scaled(ii: IntegralImage, scaled_stages: list, x: int, y: int,
-                 win_w: int, win_h: int) -> WindowResult:
-    area = win_w * win_h
-    total = ii.rect_sum(x, y, win_w, win_h)
-    total_sq = ii.rect_sum(x, y, win_w, win_h, squared=True)
-    mean = total / area
-    variance = total_sq / area - mean * mean
-    std = math.sqrt(variance) if variance > 0 else 1.0
-    norm = std * area
+def _stage_margins(ii: IntegralImage, scaled_stages: list, win_w: int, win_h: int,
+                   x0: int, y0: int, nx: int, ny: int, step: int) -> tuple:
+    """Run a scaled cascade over a raster of windows, one stage at a time.
 
-    margin = 0.0
-    for stage_rects, stage_threshold in scaled_stages:
-        stage_sum = 0.0
+    The raster holds ``ny`` rows of ``nx`` windows with origins
+    ``(x0 + step * i, y0 + step * j)``; every rect must lie inside the
+    image.  Each stage sees only the windows no earlier stage rejected.
+    Returns the row-major raster indices of the windows the last evaluated
+    stage saw and that stage's margins (stage sum minus stage threshold);
+    a window passed every stage when its margin is not below 0.  An empty
+    cascade returns every window with margin 0.
+
+    Per window this performs the float64 operations of a one-window
+    evaluation in the same order: mean, then variance, std 1.0 unless the
+    variance is positive, each feature value summed rect by rect from 0.0,
+    each stage sum stump by stump from 0.0.  Stage one reads strided views
+    of the integral tables; later stages gather the survivors' entries.
+    """
+    stride = ii.width + 1
+    origins = None  # flat table offsets of the survivors; None while every window is in play
+
+    def corner(table, dy, dx):
+        """The table entry ``(dy, dx)`` past the origin of each window in play."""
+        if origins is None:
+            return table[y0 + dy:y0 + dy + step * ny:step, x0 + dx:x0 + dx + step * nx:step]
+        return table.ravel().take(origins + (dy * stride + dx))
+
+    def sums(table, rx, ry, rw, rh):
+        return (corner(table, ry + rh, rx + rw) - corner(table, ry, rx + rw)
+                - corner(table, ry + rh, rx) + corner(table, ry, rx)).ravel()
+
+    area = win_w * win_h
+    mean = sums(ii.table, 0, 0, win_w, win_h) / area
+    variance = sums(ii.squared_table, 0, 0, win_w, win_h) / area - mean * mean
+    norm = np.sqrt(variance, out=np.ones_like(variance), where=variance > 0) * area
+
+    idx = np.arange(nx * ny)
+    margin = np.zeros(nx * ny)
+    for k, (stage_rects, stage_threshold) in enumerate(scaled_stages):
+        if k:
+            keep = ~(margin < 0)
+            if not keep.any():
+                break
+            idx, norm = idx[keep], norm[keep]
+            origins = (y0 + step * (idx // nx)) * stride + x0 + step * (idx % nx)
+        stage_sum = np.zeros(idx.size)
         for rects, threshold, left, right in stage_rects:
             value = 0.0
             for rx, ry, rw, rh, weight in rects:
-                value += weight * ii.rect_sum(x + rx, y + ry, rw, rh)
-            stage_sum += left if value / norm < threshold else right
+                value = value + weight * sums(ii.table, rx, ry, rw, rh)
+            stage_sum = stage_sum + np.where(value / norm < threshold, left, right)
         margin = stage_sum - stage_threshold
-        if margin < 0:
-            return WindowResult(False, margin)
-    return WindowResult(True, margin)
+    return idx, margin
 
 
 def eval_window(ii: IntegralImage, cascade: Cascade, origin, scale: float) -> WindowResult:
@@ -222,14 +261,22 @@ def eval_window(ii: IntegralImage, cascade: Cascade, origin, scale: float) -> Wi
     if scale <= 0:
         raise ParameterError(f"scale must be positive, got {scale}")
     x, y = origin
-    win_w = max(1, int(round(cascade.base_width * scale)))
-    win_h = max(1, int(round(cascade.base_height * scale)))
+    win_w, win_h = _window_size(cascade, scale)
     if x < 0 or y < 0 or x + win_w > ii.width or y + win_h > ii.height:
         raise InputError(
             f"window (x={x}, y={y}, w={win_w}, h={win_h}) outside "
             f"{ii.width}x{ii.height} image"
         )
-    return _eval_scaled(ii, _scale_rects(cascade, scale), x, y, win_w, win_h)
+    scaled = _scale_rects(cascade, scale)
+    # below scale 1 a rect may round one pixel past its window
+    for stage_rects, _ in scaled:
+        for rects, *_ in stage_rects:
+            for rx, ry, rw, rh, _ in rects:
+                if x + rx + rw > ii.width or y + ry + rh > ii.height:
+                    raise InputError(f"rect (x={x + rx}, y={y + ry}, w={rw}, h={rh}) "
+                                     f"outside {ii.width}x{ii.height} image")
+    _, margin = _stage_margins(ii, scaled, win_w, win_h, x, y, 1, 1, 1)
+    return WindowResult(not margin[0] < 0, float(margin[0]))
 
 
 # -- scanning and grouping -----------------------------------------------------------------
@@ -250,18 +297,29 @@ def group_boxes(boxes: list, min_neighbors: int) -> list:
     """Greedy clustering of raw windows into detections.
 
     Boxes are taken in their deterministic scan order; each joins the
-    first existing cluster it overlaps (IoU above 0.3) or starts a new
-    one.  Clusters smaller than ``min_neighbors`` are dropped.  The
-    cluster's box is the member mean (clamped so rounding cannot leave the
-    members' span) and its score is the best member score.
+    first existing cluster it overlaps (IoU above 0.3 with any member) or
+    starts a new one.  Clusters smaller than ``min_neighbors`` are
+    dropped.  The cluster's box is the member mean (clamped so rounding
+    cannot leave the members' span) and its score is the best member
+    score.
     """
+    bx, by, bw, bh = np.array([b[:4] for b in boxes]).reshape(-1, 4).T
+    right, bottom, area = bx + bw, by + bh, bw * bh
+    labels = np.empty(len(boxes), dtype=np.intp)
     clusters: list[list[DetectionBox]] = []
-    for box in boxes:
-        for cluster in clusters:
-            if any(iou(box, member) > IOU_GROUPING_THRESHOLD for member in cluster):
-                cluster.append(box)
-                break
+    for i, box in enumerate(boxes):
+        # this box's IoU with every earlier box, computed as ``iou`` does
+        ix = np.maximum(0, np.minimum(right[i], right[:i]) - np.maximum(bx[i], bx[:i]))
+        iy = np.maximum(0, np.minimum(bottom[i], bottom[:i]) - np.maximum(by[i], by[:i]))
+        inter = ix * iy
+        union = area[i] + area[:i] - inter
+        overlap = np.divide(inter, union, out=np.zeros(i), where=union > 0)
+        hits = labels[:i][overlap > IOU_GROUPING_THRESHOLD]
+        if hits.size:
+            labels[i] = hits.min()
+            clusters[labels[i]].append(box)
         else:
+            labels[i] = len(clusters)
             clusters.append([box])
     grouped = []
     for cluster in clusters:
@@ -280,14 +338,46 @@ def group_boxes(boxes: list, min_neighbors: int) -> list:
     return grouped
 
 
+def _pyramid(cascade: Cascade, params: DetectParams, width: int, height: int) -> list:
+    """The scales ``detect`` scans; more than ``MAX_SCALES`` is a ParameterError."""
+    scales = []
+    scale = max(1.0, params.min_size / cascade.base_width)
+    while True:
+        win_w, win_h = _window_size(cascade, scale)
+        if win_w > width or win_h > height:
+            return scales
+        if len(scales) == MAX_SCALES:
+            raise ParameterError(
+                f"scale_factor {params.scale_factor} needs more than {MAX_SCALES} "
+                f"pyramid scales on a {width}x{height} image"
+            )
+        scales.append(scale)
+        scale *= params.scale_factor
+
+
+def _scan_scale(ii: IntegralImage, cascade: Cascade, scale: float, step: int) -> list:
+    """Raw boxes of the windows one scale accepts, in raster order."""
+    win_w, win_h = _window_size(cascade, scale)
+    nx = len(range(0, ii.width - win_w + 1, step))
+    ny = len(range(0, ii.height - win_h + 1, step))
+    idx, margin = _stage_margins(ii, _scale_rects(cascade, scale), win_w, win_h,
+                                 0, 0, nx, ny, step)
+    hit = ~(margin < 0)
+    rows, cols = np.divmod(idx[hit], nx)
+    return [DetectionBox(x, y, win_w, win_h, score) for x, y, score in
+            zip((cols * step).tolist(), (rows * step).tolist(), margin[hit].tolist())]
+
+
 def detect(gray: np.ndarray, cascade: Cascade, params: Optional[DetectParams] = None) -> list:
     """Scan a scale pyramid and return grouped detections.
 
-    Scales start with windows ``min_size`` wide (never below the base
-    window) and multiply by ``scale_factor`` until the window no longer
-    fits.  The scan raster uses a constant ``step`` at every scale, so
-    shifting image content by a multiple of ``step`` shifts detections
-    identically.  Output is sorted by descending score.
+    ``gray`` is a 2-D ``uint8`` image.  Scales start with windows
+    ``min_size`` wide (never below the base window) and multiply by
+    ``scale_factor`` until the window no longer fits; a pyramid of more
+    than ``MAX_SCALES`` scales is refused.  The scan raster uses a
+    constant ``step`` at every scale, so shifting image content by a
+    multiple of ``step`` shifts detections identically.  Output is sorted
+    by descending score.
     """
     params = params or DetectParams()
     if params.scale_factor <= 1.0:
@@ -298,25 +388,14 @@ def detect(gray: np.ndarray, cascade: Cascade, params: Optional[DetectParams] = 
         raise ParameterError(f"min_size must be >= 1, got {params.min_size}")
     if gray.ndim != 2:
         raise InputError(f"detect needs a 2-D grayscale image, got shape {gray.shape}")
+    if gray.dtype != np.uint8:
+        raise InputError(f"detect needs a uint8 image, got dtype {gray.dtype}")
     cascade.validate()
 
-    ii = integral_image(gray)
     h, w = gray.shape
-    raw = []
-    scale = max(1.0, params.min_size / cascade.base_width)
-    while True:
-        win_w = max(1, int(round(cascade.base_width * scale)))
-        win_h = max(1, int(round(cascade.base_height * scale)))
-        if win_w > w or win_h > h:
-            break
-        scaled_stages = _scale_rects(cascade, scale)
-        for y in range(0, h - win_h + 1, params.step):
-            for x in range(0, w - win_w + 1, params.step):
-                result = _eval_scaled(ii, scaled_stages, x, y, win_w, win_h)
-                if result.accept:
-                    raw.append(DetectionBox(x, y, win_w, win_h, result.score))
-        scale *= params.scale_factor
-
+    scales = _pyramid(cascade, params, w, h)
+    ii = integral_image(gray)
+    raw = [box for scale in scales for box in _scan_scale(ii, cascade, scale, params.step)]
     grouped = group_boxes(raw, params.min_neighbors)
     grouped.sort(key=lambda b: (-b.score, b.y, b.x, b.w, b.h))
     return grouped

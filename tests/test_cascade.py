@@ -1,13 +1,18 @@
 """Face localization tests: integral tables, window evaluation against hand
-calculations, pyramid scanning, grouping, and both cascade file formats."""
+calculations, pyramid scanning, grouping, the array engine against the
+scalar one-window oracle, and both cascade file formats."""
 
 import json
+import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maskdetect import cascade as cascade_module
 from maskdetect.cascade import (
+    IOU_GROUPING_THRESHOLD,
     Cascade,
     DetectionBox,
     DetectParams,
@@ -15,6 +20,8 @@ from maskdetect.cascade import (
     HaarRect,
     Stage,
     WeakClassifier,
+    WindowResult,
+    _scale_rects,
     detect,
     eval_window,
     group_boxes,
@@ -186,6 +193,18 @@ def test_eval_window_bounds_and_scale_validation():
         eval_window(ii, casc, (0, 0), 0.0)
 
 
+def test_eval_window_rect_past_the_image_is_an_input_error():
+    # below scale 1 a rect that starts at the window's far edge rounds one
+    # pixel past it; at the image border that pixel is outside the image
+    feature = HaarFeature((HaarRect(0, 0, 24, 24, -1.0), HaarRect(23, 23, 1, 1, 576.0)))
+    casc = Cascade(24, 24, (Stage((WeakClassifier(feature, 0.0, -1.0, 1.0),), 0.0),))
+    ii = integral_image(np.zeros((12, 12), dtype=np.uint8))
+    with pytest.raises(InputError, match="rect"):
+        eval_window(ii, casc, (0, 0), 0.5)
+    assert eval_window(integral_image(np.zeros((13, 13), dtype=np.uint8)), casc,
+                       (0, 0), 0.5) == WindowResult(True, 1.0)
+
+
 def test_stage_appending_only_shrinks_acceptance():
     # monotone cascade property on a batch of random windows
     full = load_cascade_xml(FIXTURE_XML)
@@ -283,6 +302,47 @@ def test_detect_parameter_validation():
         detect(np.zeros((50, 50, 3), dtype=np.uint8), casc)
 
 
+def test_detect_edge_windows_keep_rects_inside():
+    # rounding a rect's corner and size separately took the rect one pixel
+    # past an edge window here, and detect raised InputError
+    gray = np.empty((240, 321), np.uint8)
+    gray[:120] = 210
+    gray[120:] = 40
+    assert detect(gray, load_cascade_xml(FIXTURE_XML)) == [DetectionBox(108, 67, 105, 105, 0.5)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1, 1.3, 1.37, 2.0, 2.5, 4.3, 7.77])
+def test_scaled_rects_stay_inside_the_window(scale):
+    casc = load_cascade_xml(FIXTURE_XML)
+    win = max(1, round(24 * scale))
+    for stage_rects, _ in _scale_rects(casc, scale):
+        for rects, *_ in stage_rects:
+            for rx, ry, rw, rh, _ in rects:
+                assert rx >= 0 and ry >= 0 and rw >= 1 and rh >= 1
+                assert rx + rw <= win and ry + rh <= win
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: g.astype(np.float64) * 299 / 255,  # values above 255 were truncated silently
+    lambda g: g.astype(np.int64) - 100,  # negative pixels went through
+], ids=["float64", "int64"])
+def test_detect_rejects_images_that_are_not_uint8(make):
+    casc = load_cascade_xml(FIXTURE_XML)
+    with pytest.raises(InputError, match="uint8"):
+        detect(make(_band_image()), casc)
+
+
+def test_detect_refuses_an_unbounded_pyramid():
+    # 1.0000001 asks for ~200k scales even on a 24x24 image (~30M at 640x480)
+    img = np.full((24, 24), 90, dtype=np.uint8)
+    started = time.perf_counter()
+    with pytest.raises(ParameterError, match="scale_factor"):
+        detect(img, load_cascade_xml(FIXTURE_XML), DetectParams(scale_factor=1.0000001))
+    assert time.perf_counter() - started < 5.0
+    # a fine pyramid under the cap still runs
+    assert detect(img, load_cascade_xml(FIXTURE_XML), DetectParams(scale_factor=1.0001)) == []
+
+
 def test_detect_deterministic():
     casc = load_cascade_xml(FIXTURE_XML)
     img = _band_image()
@@ -316,6 +376,251 @@ def test_group_boxes_never_escapes_member_span():
     (g,) = group_boxes(members, 1)
     assert g.x + g.w <= 12 and g.y + g.h <= 12
 
+
+def test_group_boxes_joins_the_first_of_two_overlapped_clusters():
+    a, b = DetectionBox(0, 0, 10, 10, 1.0), DetectionBox(8, 0, 10, 10, 2.0)
+    bridge = DetectionBox(4, 0, 10, 10, 3.0)  # IoU 0.43 with both a and b
+    assert iou(a, b) <= IOU_GROUPING_THRESHOLD
+    assert group_boxes([a, b, bridge], 1) == [DetectionBox(2, 0, 10, 10, 3.0),
+                                              DetectionBox(8, 0, 10, 10, 2.0)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_group_boxes_matches_the_loop(seed):
+    rng = SplitMix64(100 + seed)
+    boxes = []
+    for _ in range(150 + rng.randint(150)):
+        side = 4 + rng.randint(20)
+        boxes.append(DetectionBox(rng.randint(80), rng.randint(60), side,
+                                  side + rng.randint(3), float(rng.normal())))
+    for min_neighbors in (0, 1, 3):
+        assert group_boxes(boxes, min_neighbors) == _group_boxes_loop(boxes, min_neighbors)
+    assert group_boxes([], 1) == []
+
+
+# -- array engine against the scalar oracle -------------------------------------------------
+#
+# The one-window loop and the box-by-box grouping loop that ``detect`` ran
+# before the array engine.  The engine must reproduce their float64 results
+# bit for bit: same operations, same order, same raw boxes in raster order.
+
+
+def _eval_scaled(ii, scaled_stages, x, y, win_w, win_h):
+    area = win_w * win_h
+    total = ii.rect_sum(x, y, win_w, win_h)
+    total_sq = ii.rect_sum(x, y, win_w, win_h, squared=True)
+    mean = total / area
+    variance = total_sq / area - mean * mean
+    std = math.sqrt(variance) if variance > 0 else 1.0
+    norm = std * area
+
+    margin = 0.0
+    for stage_rects, stage_threshold in scaled_stages:
+        stage_sum = 0.0
+        for rects, threshold, left, right in stage_rects:
+            value = 0.0
+            for rx, ry, rw, rh, weight in rects:
+                value += weight * ii.rect_sum(x + rx, y + ry, rw, rh)
+            stage_sum += left if value / norm < threshold else right
+        margin = stage_sum - stage_threshold
+        if margin < 0:
+            return WindowResult(False, margin)
+    return WindowResult(True, margin)
+
+
+def _scalar_raw_boxes(gray, cascade, params):
+    ii = integral_image(gray)
+    h, w = gray.shape
+    raw = []
+    scale = max(1.0, params.min_size / cascade.base_width)
+    while True:
+        win_w = max(1, int(round(cascade.base_width * scale)))
+        win_h = max(1, int(round(cascade.base_height * scale)))
+        if win_w > w or win_h > h:
+            break
+        scaled_stages = _scale_rects(cascade, scale)
+        for y in range(0, h - win_h + 1, params.step):
+            for x in range(0, w - win_w + 1, params.step):
+                result = _eval_scaled(ii, scaled_stages, x, y, win_w, win_h)
+                if result.accept:
+                    raw.append(DetectionBox(x, y, win_w, win_h, result.score))
+        scale *= params.scale_factor
+    return raw
+
+
+def _group_boxes_loop(boxes, min_neighbors):
+    clusters = []
+    for box in boxes:
+        for cluster in clusters:
+            if any(iou(box, member) > IOU_GROUPING_THRESHOLD for member in cluster):
+                cluster.append(box)
+                break
+        else:
+            clusters.append([box])
+    grouped = []
+    for cluster in clusters:
+        if len(cluster) < max(1, min_neighbors):
+            continue
+        n = len(cluster)
+        x = int(round(sum(b.x for b in cluster) / n))
+        y = int(round(sum(b.y for b in cluster) / n))
+        w = int(round(sum(b.w for b in cluster) / n))
+        h = int(round(sum(b.h for b in cluster) / n))
+        right = max(b.x + b.w for b in cluster)
+        bottom = max(b.y + b.h for b in cluster)
+        grouped.append(DetectionBox(x, y, min(w, right - x), min(h, bottom - y),
+                                    max(b.score for b in cluster)))
+    return grouped
+
+
+def _random_cascade(rng, n_stages):
+    """Stumps anywhere in the base window, edge-touching ones included,
+    with 2- and 3-rect features; a stage may be empty or have an infinite
+    threshold.  Stump votes are full-precision normals, so summing them in
+    another order changes the low bits of a score."""
+    base_w, base_h = 5 + rng.randint(10), 5 + rng.randint(10)
+
+    def rect():
+        x, y = rng.randint(base_w), rng.randint(base_h)
+        w = base_w - x if rng.randint(3) == 0 else 1 + rng.randint(base_w - x)
+        h = base_h - y if rng.randint(3) == 0 else 1 + rng.randint(base_h - y)
+        return HaarRect(x, y, w, h, float(rng.uniform(-3.0, 3.0)))
+
+    stages = []
+    for _ in range(n_stages):
+        stumps = tuple(
+            WeakClassifier(HaarFeature(tuple(rect() for _ in range(2 + rng.randint(2)))),
+                           float(rng.normal(0.0, 0.05)), rng.normal(), rng.normal())
+            for _ in range(rng.randint(5)))
+        # mid-range thresholds reject about half the windows at each stage
+        threshold = sum((wc.left_value + wc.right_value) / 2 for wc in stumps) \
+            + float(rng.uniform(0.0, 0.3)) * len(stumps)
+        kind = rng.randint(10)
+        stages.append(Stage(stumps, math.inf if kind == 0 else -math.inf if kind == 1
+                            else threshold))
+    return Cascade(base_w, base_h, tuple(stages))
+
+
+def _random_scene(rng, w, h):
+    """Blocks of flat tone, with grain over the top half only, so the
+    bottom half holds windows of zero variance."""
+    img = np.zeros((h, w))
+    for _ in range(8):
+        x, y = rng.randint(w), rng.randint(h)
+        img[y:y + 4 + rng.randint(h // 2), x:x + 4 + rng.randint(w // 2)] = rng.uniform(0, 255)
+    img[:h // 2] += rng.uniform(-30.0, 30.0, shape=(h // 2, w))
+    return np.clip(img, 0, 255).astype(np.uint8)
+
+
+def _engine_raw_boxes(monkeypatch, gray, casc, params):
+    seen = []
+    monkeypatch.setattr(cascade_module, "group_boxes",
+                        lambda boxes, min_neighbors: seen.append(boxes) or [])
+    detect(gray, casc, params)
+    monkeypatch.undo()
+    return seen[0]
+
+
+# (seed, stages, width, height, step, scale_factor); each seed was picked
+# so that its case keeps between 20 and 800 raw boxes, except the empty
+# cascade (every window) and the last case (a stage that rejects all)
+_ORACLE_CASES = [
+    (1, 0, 23, 17, 3, 1.5),
+    (106, 1, 97, 61, 1, 1.3),
+    (218, 2, 97, 61, 2, 1.1),
+    (307, 3, 97, 61, 3, 1.25),
+    (407, 4, 97, 61, 1, 1.4),
+    (501, 2, 61, 97, 2, 1.2),
+    (619, 3, 321, 240, 3, 1.5),
+    (705, 4, 64, 48, 1, 1.15),
+    (834, 1, 321, 240, 3, 1.45),
+    (906, 3, 50, 31, 1, 1.1),
+    (1003, 4, 97, 61, 2, 1.35),
+    (1112, 2, 37, 53, 1, 1.5),
+    (1204, 3, 97, 61, 2, 1.2),
+]
+
+
+def _oracle_case(seed, n_stages, width, height, step, factor):
+    rng = SplitMix64(seed)
+    casc = _random_cascade(rng, n_stages)
+    gray = _random_scene(rng, width, height)
+    params = DetectParams(scale_factor=factor, step=step,
+                          min_size=max(casc.base_width, min(width, height) // 8),
+                          min_neighbors=1 + rng.randint(3))
+    return casc, gray, params
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES, ids=lambda case: f"seed{case[0]}")
+def test_engine_matches_scalar_oracle(monkeypatch, case):
+    casc, gray, params = _oracle_case(*case)
+    expected = _scalar_raw_boxes(gray, casc, params)
+    assert expected or any(s.stage_threshold == math.inf for s in casc.stages)
+    assert _engine_raw_boxes(monkeypatch, gray, casc, params) == expected
+    grouped = _group_boxes_loop(expected, params.min_neighbors)
+    grouped.sort(key=lambda b: (-b.score, b.y, b.x, b.w, b.h))
+    assert detect(gray, casc, params) == grouped
+
+
+def test_oracle_cases_cover_the_edge_cases():
+    cases = [_oracle_case(*case) for case in _ORACLE_CASES]
+    stages = [s for casc, _, _ in cases for s in casc.stages]
+    rects = [(casc, r) for casc, _, _ in cases for s in casc.stages
+             for wc in s.weak_classifiers for r in wc.feature.rects]
+    assert {len(casc.stages) for casc, _, _ in cases} == {0, 1, 2, 3, 4}
+    assert any(not s.weak_classifiers for s in stages)
+    assert {math.inf, -math.inf} <= {s.stage_threshold for s in stages}
+    assert {2, 3} <= {len(wc.feature.rects) for s in stages for wc in s.weak_classifiers}
+    assert any(r.x + r.w == casc.base_width for casc, r in rects)
+    assert any(r.y + r.h == casc.base_height for casc, r in rects)
+    assert {case[4] for case in _ORACLE_CASES} == {1, 2, 3}
+    flat = 0
+    for casc, gray, _ in cases:
+        windows = np.lib.stride_tricks.sliding_window_view(
+            gray, (casc.base_height, casc.base_width))
+        flat += int((windows.min(axis=(2, 3)) == windows.max(axis=(2, 3))).sum())
+    assert flat > 0  # windows of zero variance, which count as std 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eval_window_matches_scalar_oracle(seed):
+    rng = SplitMix64(50 + seed)
+    casc = _random_cascade(rng, 1 + rng.randint(4))
+    gray = _random_scene(rng, 71, 59)
+    ii = integral_image(gray)
+    for _ in range(150):
+        scale = float(rng.uniform(1.0, 3.0))
+        win_w = max(1, round(casc.base_width * scale))
+        win_h = max(1, round(casc.base_height * scale))
+        if win_w > 71 or win_h > 59:
+            continue
+        x, y = rng.randint(71 - win_w + 1), rng.randint(59 - win_h + 1)
+        expected = _eval_scaled(ii, _scale_rects(casc, scale), x, y, win_w, win_h)
+        assert eval_window(ii, casc, (x, y), scale) == expected
+
+
+
+def test_stump_threshold_at_the_exact_feature_value_votes_right():
+    # the value is summed rect by rect in cascade order; summed in another
+    # order it moves by an ulp in some of these windows and the vote flips
+    rng = SplitMix64(77)
+    ii = integral_image(_random_scene(rng, 40, 40))
+    for _ in range(60):
+        rects = tuple(HaarRect(rng.randint(8), rng.randint(8), 1 + rng.randint(8),
+                               1 + rng.randint(8), rng.normal()) for _ in range(3))
+        x, y = rng.randint(25), rng.randint(25)
+        probe = Cascade(16, 16, (Stage((WeakClassifier(HaarFeature(rects), 0.0, 0.0, 0.0),),
+                                       0.0),))
+        scaled = _scale_rects(probe, 1.0)[0][0][0][0]  # the one stump's rects
+        mean = ii.rect_sum(x, y, 16, 16) / 256
+        variance = ii.rect_sum(x, y, 16, 16, squared=True) / 256 - mean * mean
+        value = 0.0
+        for rx, ry, rw, rh, weight in scaled:
+            value += weight * ii.rect_sum(x + rx, y + ry, rw, rh)
+        threshold = value / ((math.sqrt(variance) if variance > 0 else 1.0) * 256)
+        casc = Cascade(16, 16, (Stage((WeakClassifier(HaarFeature(rects), threshold, -1.0, 1.0),),
+                                      0.0),))
+        assert eval_window(ii, casc, (x, y), 1.0) == WindowResult(True, 1.0)
 
 # -- XML import --------------------------------------------------------------------------
 

@@ -490,6 +490,17 @@ def test_detect_override_params(scene, tmp_path):
     assert doc["params"]["step"] == 3
 
 
+
+def test_detect_scale_factor_near_one_exits_two(tmp_path, capsys):
+    # the pyramid would need ~200k scales on this 24x24 image
+    image = tmp_path / "small.ppm"
+    save_ppm(np.full((24, 24, 3), 90, np.uint8), image)
+    code = main(["detect", "--image", str(image), "--cascade", FIXTURE_XML,
+                 "--out", str(tmp_path / "boxes.json"), "--detect.scale_factor", "1.0000001"])
+    assert code == 2
+    assert "scale_factor" in capsys.readouterr().err
+    assert not (tmp_path / "boxes.json").exists()
+
 # -- annotate -------------------------------------------------------------------------
 
 
