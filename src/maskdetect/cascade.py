@@ -39,7 +39,7 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
 
 
 class IntegralImage:
-    """Cumulative sum tables over a grayscale image.
+    """Cumulative sum tables over a ``uint8`` grayscale image.
 
     ``table[y][x]`` holds the exact integer sum of pixels in rows [0,y) and
     columns [0,x); ``squared_table`` does the same over squared pixels.
@@ -51,6 +51,8 @@ class IntegralImage:
     def __init__(self, gray: np.ndarray):
         if gray.ndim != 2 or gray.size == 0:
             raise InputError(f"integral image needs a non-empty 2-D image, got {gray.shape}")
+        if gray.dtype != np.uint8:
+            raise InputError(f"integral image needs a uint8 image, got dtype {gray.dtype}")
         px = gray.astype(np.int64)
         h, w = px.shape
         self.height, self.width = h, w
@@ -388,13 +390,11 @@ def detect(gray: np.ndarray, cascade: Cascade, params: Optional[DetectParams] = 
         raise ParameterError(f"min_size must be >= 1, got {params.min_size}")
     if gray.ndim != 2:
         raise InputError(f"detect needs a 2-D grayscale image, got shape {gray.shape}")
-    if gray.dtype != np.uint8:
-        raise InputError(f"detect needs a uint8 image, got dtype {gray.dtype}")
+    ii = integral_image(gray)
     cascade.validate()
 
     h, w = gray.shape
     scales = _pyramid(cascade, params, w, h)
-    ii = integral_image(gray)
     raw = [box for scale in scales for box in _scan_scale(ii, cascade, scale, params.step)]
     grouped = group_boxes(raw, params.min_neighbors)
     grouped.sort(key=lambda b: (-b.score, b.y, b.x, b.w, b.h))
@@ -428,7 +428,8 @@ def load_cascade_xml(path) -> Cascade:
     path = Path(path)
     try:
         root = ET.parse(path).getroot()
-    except (OSError, ET.ParseError) as e:
+    except (OSError, ET.ParseError, ValueError, LookupError) as e:
+        # ValueError and LookupError: an encoding declaration expat cannot use
         raise CascadeFormatError(f"{path}: cannot parse XML: {e}") from e
     if root.tag != "opencv_storage":
         raise CascadeFormatError(f"{path}: /: root element is {root.tag!r}, "
@@ -441,10 +442,10 @@ def load_cascade_xml(path) -> Cascade:
     base = f"/opencv_storage/{casc.tag}"
 
     size_text = _xml_text(casc.find("size"), f"{base}/size")
-    parts = size_text.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-        raise CascadeFormatError(f"{base}/size: expected 'width height', got {size_text!r}")
-    base_w, base_h = int(parts[0]), int(parts[1])
+    try:
+        base_w, base_h = (int(v) for v in size_text.split())
+    except ValueError as e:
+        raise CascadeFormatError(f"{base}/size: expected 'width height', got {size_text!r}") from e
     if base_w < 1 or base_h < 1:
         raise CascadeFormatError(f"{base}/size: window {base_w}x{base_h} must be positive")
 
@@ -556,6 +557,10 @@ def _want(obj, key, kind, pointer: str, file):
     if kind == "number":
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise CascadeFormatError(f"{file}: {pointer}/{key}: expected a number")
+        try:
+            return float(value)
+        except OverflowError as e:  # an integer literal past the float range
+            raise CascadeFormatError(f"{file}: {pointer}/{key}: number out of range") from e
     elif kind == "int":
         if not isinstance(value, int) or isinstance(value, bool):
             raise CascadeFormatError(f"{file}: {pointer}/{key}: expected an integer")
@@ -582,7 +587,8 @@ def load_cascade_json(path) -> Cascade:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise CascadeFormatError(f"{path}: cannot read: {e}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError: undecodable bytes, bad syntax, an integer past int()'s digit limit
         raise CascadeFormatError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise CascadeFormatError(f"{path}: /: expected a JSON object")
@@ -626,12 +632,12 @@ def load_cascade_json(path) -> Cascade:
                         f"{path}: {rp}: rect ({x},{y},{rw},{rh}) outside the "
                         f"{base_w}x{base_h} base window"
                     )
-                rects.append(HaarRect(x, y, rw, rh, float(weight)))
+                rects.append(HaarRect(x, y, rw, rh, weight))
             weak.append(WeakClassifier(
                 HaarFeature(tuple(rects)),
-                float(_want(wc_doc, "threshold", "number", wp, path)),
-                float(_want(wc_doc, "left_value", "number", wp, path)),
-                float(_want(wc_doc, "right_value", "number", wp, path)),
+                _want(wc_doc, "threshold", "number", wp, path),
+                _want(wc_doc, "left_value", "number", wp, path),
+                _want(wc_doc, "right_value", "number", wp, path),
             ))
-        stages.append(Stage(tuple(weak), float(threshold)))
+        stages.append(Stage(tuple(weak), threshold))
     return Cascade(base_w, base_h, tuple(stages))

@@ -340,11 +340,15 @@ def _next_token(buf: bytes, pos: int, path: str) -> tuple[bytes, int, int]:
     return buf[start:pos], start, pos
 
 
-def _int_token(buf: bytes, pos: int, what: str, path: str) -> tuple[int, int]:
+def _int_token(buf: bytes, pos: int, what: str, path: str) -> tuple[int, int, int]:
+    """Next header token as a decimal integer: (value, start, end) offsets."""
     token, start, end = _next_token(buf, pos, path)
-    if not token.isdigit():
-        raise PPMError(f"{path}: expected {what} at byte {start}, got {token!r}")
-    return int(token), end
+    if token.isdigit():
+        try:
+            return int(token), start, end
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PPMError(f"{path}: expected {what} at byte {start}, got {token!r}")
 
 
 def load_ppm(path: str) -> np.ndarray:
@@ -353,15 +357,11 @@ def load_ppm(path: str) -> np.ndarray:
         buf = fh.read()
     if buf[:2] != b"P6":
         raise PPMError(f"{path}: expected magic 'P6' at byte 0, got {buf[:2]!r}")
-    width, pos = _int_token(buf, 2, "width", path)
-    height, pos = _int_token(buf, pos, "height", path)
-    maxval_tok, maxval_start, pos = _next_token(buf, pos, path)
-    if not maxval_tok.isdigit():
-        raise PPMError(f"{path}: expected maxval at byte {maxval_start}, got {maxval_tok!r}")
-    if int(maxval_tok) != 255:
-        raise PPMError(
-            f"{path}: maxval must be 255, got {int(maxval_tok)} at byte {maxval_start}"
-        )
+    width, _, pos = _int_token(buf, 2, "width", path)
+    height, _, pos = _int_token(buf, pos, "height", path)
+    maxval, maxval_start, pos = _int_token(buf, pos, "maxval", path)
+    if maxval != 255:
+        raise PPMError(f"{path}: maxval must be 255, got {maxval} at byte {maxval_start}")
     if width < 1 or height < 1:
         raise PPMError(f"{path}: invalid dimensions {width}x{height}")
     # exactly one whitespace byte separates the header from the raster

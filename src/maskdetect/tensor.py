@@ -25,6 +25,10 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 
 GradFn = Callable[[np.ndarray], np.ndarray]
 
+# Output bytes per block of planes in avg pooling: the partial sums of a
+# block stay in cache, and their memory stays small beside the output.
+_POOL_BLOCK_BYTES = 1 << 17
+
 
 def _as_dtype(dtype) -> np.dtype:
     if isinstance(dtype, str):
@@ -254,6 +258,43 @@ def _fold(dcol: np.ndarray, x: Tensor, stride: int, ph: int, pw: int) -> np.ndar
     return dxp[:, :, ph : ph + h, pw : pw + w]
 
 
+def _pairwise(parts: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of ``parts`` in numpy's pairwise summation order.
+
+    numpy's ``add.reduce`` sums a contiguous run of n values one by one
+    when n < 8; up to 128 it keeps eight running sums, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the rest one by one;
+    above that it adds the sums of two halves split at a multiple of 8.
+    Adding the parts in that order gives the bits of that reduction over
+    a new last axis, before it adds the sum to its start value +0.0.  Only
+    which NaN pattern a NaN carries may differ; numpy's own loops do not
+    fix that either.  ``parts`` are only read.
+    """
+    n = len(parts)
+    if n < 8:
+        total = parts[0].copy()
+        for p in parts[1:]:
+            total += p
+        return total
+    if n <= 128:
+        tail = n - n % 8
+        r = list(parts[:8])
+        for i in range(8, tail, 8):
+            r = [acc + p for acc, p in zip(r, parts[i : i + 8])]
+        total = r[0] + r[1]
+        total += r[2] + r[3]
+        right = r[4] + r[5]
+        right += r[6] + r[7]
+        total += right
+        for p in parts[tail:]:
+            total += p
+        return total
+    half = n // 2 - n // 2 % 8
+    total = _pairwise(parts[:half])
+    total += _pairwise(parts[half:])
+    return total
+
+
 # -- convolution ----------------------------------------------------------------
 
 
@@ -338,14 +379,14 @@ def pool2d(x: Tensor, kind: str, k: int, stride: int, padding: int = 0) -> Tenso
         xp = x.data
     oh = (hp - k) // stride + 1
     ow = (wp - k) // stride + 1
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(n, c, oh, ow, k * k)
 
     if kind == "max":
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        flat = win.reshape(n, c, oh, ow, k * k)
         arg = flat.argmax(axis=-1)  # first occurrence == lowest flat index
         out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
     else:
-        out_data = flat.mean(axis=-1, dtype=x.dtype)
+        out_data = _window_mean(xp, k, stride, oh, ow)
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         if kind == "avg":
@@ -357,6 +398,30 @@ def pool2d(x: Tensor, kind: str, k: int, stride: int, padding: int = 0) -> Tenso
         return dxp[:, :, ph : ph + h, pw : pw + w]
 
     return _node(np.ascontiguousarray(out_data), (x, grad_x))
+
+
+def _window_mean(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Mean of every k x k window of [N,C,H,W] ``xp``, as [N,C,OH,OW].
+
+    Bit for bit ``mean(axis=-1, dtype=xp.dtype)`` over the windows laid out
+    on a last axis of k*k (see :func:`_pairwise`), but summed from the k*k
+    shifted, strided slices of ``xp``, so no window copy is made.  Planes
+    go in blocks of about ``_POOL_BLOCK_BYTES`` of output.
+    """
+    n, c, hp, wp = xp.shape
+    planes = xp.reshape(n * c, hp, wp)
+    out = np.empty((n * c, oh, ow), dtype=xp.dtype)
+    step = max(1, _POOL_BLOCK_BYTES // (oh * ow * xp.itemsize))
+    span_h, span_w = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    for lo in range(0, n * c, step):
+        block = planes[lo : lo + step]
+        total = _pairwise(
+            [block[:, i : i + span_h : stride, j : j + span_w : stride]
+             for i in range(k) for j in range(k)]
+        )
+        total += 0.0  # the reduction's start value: a window of -0.0 sums to +0.0
+        np.divide(total, k * k, out=out[lo : lo + step])
+    return out.reshape(n, c, oh, ow)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -112,6 +112,25 @@ def test_rect_sum_edge_cases_and_bounds():
         integral_image(np.zeros((3, 3, 3), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("img", [
+    np.full((24, 24), 299.7),  # truncating through int64 would sum 299 per pixel
+    np.ones((24, 24), dtype=np.float32),
+    np.ones((24, 24), dtype=np.int64),
+    np.ones((24, 24), dtype=np.uint16),
+    np.ones((24, 24), dtype=bool),
+], ids=["float64", "float32", "int64", "uint16", "bool"])
+def test_integral_image_takes_only_uint8(img):
+    with pytest.raises(InputError, match="uint8"):
+        integral_image(img)
+
+
+def test_eval_window_path_rejects_a_float_image():
+    img = np.full((24, 24), 50.0)
+    img[:12, :] = 200.9
+    with pytest.raises(InputError, match="uint8"):
+        eval_window(integral_image(img), _two_rect_cascade(), (0, 0), 1.0)
+
+
 def test_integral_value_range_is_exact_int64():
     img = np.full((200, 200), 255, dtype=np.uint8)
     ii = integral_image(img)
@@ -760,6 +779,22 @@ def test_xml_malformed_document(tmp_path):
         load_cascade_xml(q)
 
 
+@pytest.mark.parametrize("size", ["--4 24", "\u00b2 24", "2" * 5000 + " 24"],
+                         ids=["double-minus", "superscript", "5000-digits"])
+def test_xml_unreadable_size_is_a_format_error(tmp_path, size):
+    text = FIXTURE_XML.read_text().replace("<size>24 24</size>", f"<size>{size}</size>")
+    with pytest.raises(CascadeFormatError, match="/size"):
+        load_cascade_xml(_write_xml(tmp_path, text))
+
+
+@pytest.mark.parametrize("encoding", ["bogus", "utf-32", "rot13", "punycode"])
+def test_xml_declared_encoding_it_cannot_read_is_a_format_error(tmp_path, encoding):
+    text = FIXTURE_XML.read_text().replace('version="1.0"',
+                                           f'version="1.0" encoding="{encoding}"')
+    with pytest.raises(CascadeFormatError, match="cannot parse XML"):
+        load_cascade_xml(_write_xml(tmp_path, text))
+
+
 # -- JSON format --------------------------------------------------------------------------
 
 
@@ -833,6 +868,19 @@ def test_json_schema_violations_report_pointers(tmp_path):
 
     p.write_text("{nope")
     with pytest.raises(CascadeFormatError, match="JSON"):
+        load_cascade_json(p)
+
+
+@pytest.mark.parametrize("text,match", [
+    ('{"base_window": [' + "1" * 5000 + ', 24], "stages": []}', "not valid JSON"),
+    ("[" * 100000 + "]" * 100000, "not valid JSON"),
+    ('{"base_window": [24, 24], "stages": [{"stage_threshold": 1' + "0" * 400
+     + ', "weak_classifiers": []}]}', "/stages/0/stage_threshold"),
+], ids=["5000-digit-int", "deep-nesting", "int-past-float-range"])
+def test_json_numbers_and_nesting_past_the_parser_are_format_errors(tmp_path, text, match):
+    p = tmp_path / "c.json"
+    p.write_text(text)
+    with pytest.raises(CascadeFormatError, match=match):
         load_cascade_json(p)
 
 

@@ -165,6 +165,17 @@ def test_ppm_non_numeric_dimension(tmp_path):
         load_ppm(path)
 
 
+@pytest.mark.parametrize("header", [
+    b"P6\n" + b"9" * 5000 + b" 1\n255\n",  # width past int()'s digit limit
+    b"P6\n1 1\n" + b"9" * 5000 + b"\n",  # maxval past int()'s digit limit
+], ids=["width", "maxval"])
+def test_ppm_overlong_number_is_a_ppm_error(tmp_path, header):
+    path = tmp_path / "n.ppm"
+    path.write_bytes(header + bytes(3))
+    with pytest.raises(PPMError, match="expected"):
+        load_ppm(path)
+
+
 def test_save_ppm_rejects_bad_input(tmp_path):
     with pytest.raises(InputError):
         save_ppm(np.zeros((4, 4), dtype=np.uint8), tmp_path / "bad.ppm")

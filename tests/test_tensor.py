@@ -1,8 +1,11 @@
 """Forward-pass semantics of the tensor ops, checked against brute-force
 reference implementations written as plain loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from maskdetect import tensor as T
 from maskdetect.errors import InputError, ParameterError, ShapeError, UsageError
@@ -124,6 +127,63 @@ def test_pool2d_matches_loop_oracle(kind, k, stride):
         want = pool2d_ref(x, kind, k, stride)
         assert got.shape == want.shape
         assert np.allclose(got.data, want, atol=1e-12)
+
+
+def _avg_pool_window_mean(x, k, stride, padding):
+    """Avg pooling as one mean over a [N,C,OH,OW,k*k] copy of the windows."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.reshape(win.shape[:4] + (k * k,)).mean(axis=-1, dtype=x.dtype)
+
+
+def _awkward_input(rng, shape, dtype, nonfinite):
+    """Normal values with -0.0, subnormals and +-1e30 mixed in, plus +-inf
+    and NaN when ``nonfinite``; the first plane is all -0.0."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = [-0.0, tiny, -tiny, 1e30, -1e30] + ([np.inf, -np.inf, np.nan] if nonfinite else [])
+    x = rng.normal(shape=shape).astype(dtype)
+    hit = rng.uniform(shape=shape) < 0.15
+    pick = (rng.uniform(shape=shape) * len(specials)).astype(int)
+    x[hit] = np.array(specials, dtype=dtype)[pick[hit]]
+    x[0, 0] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("nonfinite", [False, True], ids=["finite", "nonfinite"])
+def test_avg_pool_is_bitwise_the_window_mean(dtype, nonfinite):
+    # Shifted-slice sums must reproduce numpy's pairwise reduction order
+    # (k*k < 8, 8..128 and > 128 terms).  Which NaN pattern a NaN output
+    # carries is left to the hardware and differs between numpy's own
+    # loops, so NaN outputs are compared by position only.
+    rng = SplitMix64(31 + nonfinite)
+    for k in range(1, 14):
+        for stride in (1, 2, 3):
+            for padding in (0, 1, 2):
+                x = _awkward_input(rng, (2, 3, k + 4, k + 5), dtype, nonfinite)
+                with np.errstate(invalid="ignore"):  # inf + -inf
+                    got = T.pool2d(T.Tensor(x), "avg", k, stride, padding).data
+                    want = _avg_pool_window_mean(x, k, stride, padding)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan), (k, stride, padding)
+                assert got[~nan].tobytes() == want[~nan].tobytes(), (k, stride, padding)
+                if not nonfinite:
+                    assert got.tobytes() == want.tobytes()
+
+
+def test_avg_pool_makes_no_window_copy():
+    # the Inception pool branch: 3x3, stride 1, padding 1; a [N,C,OH,OW,9]
+    # window copy alone would take 9x the input
+    x = T.Tensor(SplitMix64(5).normal(shape=(32, 36, 19, 19)).astype(np.float32))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        T.pool2d(x, "avg", 3, 1, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.data.nbytes
 
 
 def test_pool2d_max_tie_routes_to_lowest_flat_index():
