@@ -10,6 +10,7 @@ until the final variance normalization.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,8 @@ from .errors import CascadeFormatError, InputError, ParameterError
 IOU_GROUPING_THRESHOLD = 0.3
 # bound on the pyramid: the default scale_factor 1.1 needs about 32 scales at 640x480
 MAX_SCALES = 1000
+# bound on a base-window side: OpenCV's frontal-face cascades use 20 to 24 px
+MAX_BASE_WINDOW = 1000
 
 
 # -- pixels and integral tables ---------------------------------------------------
@@ -111,33 +114,50 @@ class Stage:
     stage_threshold: float
 
 
+def _dotted(steps) -> str:
+    """``stages[0].weak_classifiers[1]``: a cascade node named the Python way."""
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps).lstrip(".")
+
+
 @dataclass(frozen=True)
 class Cascade:
     base_width: int
     base_height: int
     stages: tuple
 
-    def validate(self) -> None:
-        if self.base_width < 1 or self.base_height < 1:
-            raise CascadeFormatError(
-                f"base window {self.base_width}x{self.base_height} must be positive"
-            )
+    def validate(self, node=_dotted) -> None:
+        """Check the rules every cascade meets, whatever file it came from.
+
+        A violation raises :class:`CascadeFormatError` naming the node by
+        ``node(steps)``: ``steps`` are the JSON schema's keys and indices
+        from the root, e.g. ``("stages", 0, "stage_threshold")``.
+        """
+        def fail(steps, problem):
+            raise CascadeFormatError(f"{node(steps)}: {problem}")
+
+        w, h = self.base_width, self.base_height
+        if not (1 <= w <= MAX_BASE_WINDOW and 1 <= h <= MAX_BASE_WINDOW):
+            fail(("base_window",), f"window sides must be 1 to {MAX_BASE_WINDOW} px")
         for i, stage in enumerate(self.stages):
+            if math.isnan(stage.stage_threshold):
+                fail(("stages", i, "stage_threshold"), "threshold is NaN")
             for j, wc in enumerate(stage.weak_classifiers):
+                at = ("stages", i, "weak_classifiers", j)
+                if math.isnan(wc.threshold):
+                    fail(at + ("threshold",), "threshold is NaN")
+                for vote in ("left_value", "right_value"):
+                    if not math.isfinite(getattr(wc, vote)):
+                        fail(at + (vote,), f"vote {getattr(wc, vote)} is not finite")
                 rects = wc.feature.rects
                 if not 2 <= len(rects) <= 3:
-                    raise CascadeFormatError(
-                        f"stages[{i}].weak_classifiers[{j}]: features use 2 or 3 "
-                        f"rectangles, got {len(rects)}"
-                    )
-                for r in rects:
-                    if r.w < 1 or r.h < 1 or r.x < 0 or r.y < 0 \
-                            or r.x + r.w > self.base_width or r.y + r.h > self.base_height:
-                        raise CascadeFormatError(
-                            f"stages[{i}].weak_classifiers[{j}]: rect "
-                            f"({r.x},{r.y},{r.w},{r.h}) outside the "
-                            f"{self.base_width}x{self.base_height} base window"
-                        )
+                    fail(at + ("feature", "rects"), f"{len(rects)} rects, expected 2 or 3")
+                for k, r in enumerate(rects):
+                    if not math.isfinite(r.weight):
+                        fail(at + ("feature", "rects", k), f"weight {r.weight} is not finite")
+                    if r.w < 1 or r.h < 1 or r.x < 0 or r.y < 0 or r.x + r.w > w \
+                            or r.y + r.h > h:
+                        fail(at + ("feature", "rects", k), f"rect ({r.x},{r.y},{r.w},{r.h}) "
+                             f"outside the {w}x{h} base window")
 
 
 class DetectionBox(NamedTuple):
@@ -418,6 +438,22 @@ def _xml_float(elem, path: str) -> float:
         raise CascadeFormatError(f"{path}: {text!r} is not a number") from e
 
 
+# the JSON schema's field names that the XML schema spells differently
+_XML_FIELDS = {"base_window": "size", "weak_classifiers": "trees",
+               "left_value": "left_val", "right_value": "right_val"}
+
+
+def _xml_node(base: str, steps) -> str:
+    """The element path of the cascade node at ``steps`` (see ``Cascade.validate``)."""
+    parts = [base]
+    for step in steps:
+        if isinstance(step, int):  # a weak classifier is the one node of its tree
+            parts.append(f"_[{step}]/_[0]" if parts[-1] == "trees" else f"_[{step}]")
+        else:
+            parts.append(_XML_FIELDS.get(step, step))
+    return "/".join(parts)
+
+
 def load_cascade_xml(path) -> Cascade:
     """Import a stump-based cascade from the legacy XML schema.
 
@@ -446,8 +482,6 @@ def load_cascade_xml(path) -> Cascade:
         base_w, base_h = (int(v) for v in size_text.split())
     except ValueError as e:
         raise CascadeFormatError(f"{base}/size: expected 'width height', got {size_text!r}") from e
-    if base_w < 1 or base_h < 1:
-        raise CascadeFormatError(f"{base}/size: window {base_w}x{base_h} must be positive")
 
     stages_elem = casc.find("stages")
     if stages_elem is None:
@@ -492,20 +526,9 @@ def load_cascade_xml(path) -> Cascade:
                         f"{rpath}: expected 'x y w h weight', got {rect_elem.text!r}"
                     )
                 try:
-                    x, y, rw, rh = (int(v) for v in fields[:4])
-                    weight = float(fields[4])
+                    rects.append(HaarRect(*(int(v) for v in fields[:4]), float(fields[4])))
                 except ValueError as e:
                     raise CascadeFormatError(f"{rpath}: bad rect values {fields!r}") from e
-                if x < 0 or y < 0 or rw < 1 or rh < 1 or x + rw > base_w or y + rh > base_h:
-                    raise CascadeFormatError(
-                        f"{rpath}: rect ({x},{y},{rw},{rh}) outside the "
-                        f"{base_w}x{base_h} base window"
-                    )
-                rects.append(HaarRect(x, y, rw, rh, weight))
-            if not 2 <= len(rects) <= 3:
-                raise CascadeFormatError(
-                    f"{npath}/feature/rects: {len(rects)} rects, expected 2 or 3"
-                )
             weak.append(WeakClassifier(
                 HaarFeature(tuple(rects)),
                 _xml_float(node.find("threshold"), f"{npath}/threshold"),
@@ -515,7 +538,9 @@ def load_cascade_xml(path) -> Cascade:
         stages.append(Stage(tuple(weak),
                             _xml_float(stage_elem.find("stage_threshold"),
                                        f"{spath}/stage_threshold")))
-    return Cascade(base_w, base_h, tuple(stages))
+    cascade = Cascade(base_w, base_h, tuple(stages))
+    cascade.validate(lambda steps: _xml_node(base, steps))
+    return cascade
 
 
 # -- native JSON format ------------------------------------------------------------------------
@@ -594,11 +619,9 @@ def load_cascade_json(path) -> Cascade:
         raise CascadeFormatError(f"{path}: /: expected a JSON object")
 
     window = _want(doc, "base_window", "list", "", path)
-    if len(window) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+    if len(window) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
                                    for v in window):
-        raise CascadeFormatError(f"{path}: /base_window: expected [width, height] of "
-                                 "positive integers")
-    base_w, base_h = window
+        raise CascadeFormatError(f"{path}: /base_window: expected [width, height] integers")
 
     stages = []
     for i, stage_doc in enumerate(_want(doc, "stages", "list", "", path)):
@@ -612,27 +635,13 @@ def load_cascade_json(path) -> Cascade:
             if not isinstance(wc_doc, dict):
                 raise CascadeFormatError(f"{path}: {wp}: expected an object")
             feature = _want(wc_doc, "feature", "object", wp, path)
-            rects_doc = _want(feature, "rects", "list", f"{wp}/feature", path)
-            if not 2 <= len(rects_doc) <= 3:
-                raise CascadeFormatError(
-                    f"{path}: {wp}/feature/rects: {len(rects_doc)} rects, expected 2 or 3"
-                )
             rects = []
-            for k, rect_doc in enumerate(rects_doc):
+            for k, rect_doc in enumerate(_want(feature, "rects", "list", f"{wp}/feature", path)):
                 rp = f"{wp}/feature/rects/{k}"
                 if not isinstance(rect_doc, dict):
                     raise CascadeFormatError(f"{path}: {rp}: expected an object")
-                x = _want(rect_doc, "x", "int", rp, path)
-                y = _want(rect_doc, "y", "int", rp, path)
-                rw = _want(rect_doc, "w", "int", rp, path)
-                rh = _want(rect_doc, "h", "int", rp, path)
-                weight = _want(rect_doc, "weight", "number", rp, path)
-                if x < 0 or y < 0 or rw < 1 or rh < 1 or x + rw > base_w or y + rh > base_h:
-                    raise CascadeFormatError(
-                        f"{path}: {rp}: rect ({x},{y},{rw},{rh}) outside the "
-                        f"{base_w}x{base_h} base window"
-                    )
-                rects.append(HaarRect(x, y, rw, rh, weight))
+                rects.append(HaarRect(*(_want(rect_doc, key, "int", rp, path) for key in "xywh"),
+                                      _want(rect_doc, "weight", "number", rp, path)))
             weak.append(WeakClassifier(
                 HaarFeature(tuple(rects)),
                 _want(wc_doc, "threshold", "number", wp, path),
@@ -640,4 +649,6 @@ def load_cascade_json(path) -> Cascade:
                 _want(wc_doc, "right_value", "number", wp, path),
             ))
         stages.append(Stage(tuple(weak), threshold))
-    return Cascade(base_w, base_h, tuple(stages))
+    cascade = Cascade(*window, tuple(stages))
+    cascade.validate(lambda steps: f"{path}: /" + "/".join(map(str, steps)))
+    return cascade

@@ -45,6 +45,7 @@ __all__ = [
     "color_shift_image",
     "translate_image",
     "augment",
+    "batch_order",
     "batches",
     "synth_dataset",
 ]
@@ -632,12 +633,20 @@ def batches(
     )
 
 
-def _batch_stream(samples, batch_size, shuffle, augment_config, rng, image_size, epoch):
-    order = list(range(len(samples)))
-    if shuffle:
+def batch_order(count: int, batch_size: int, rng: SplitMix64 | None = None,
+                epoch: int = 0) -> list[list[int]]:
+    """The indices of each batch of one epoch over ``count`` samples:
+    shuffled by ``rng`` for ``epoch`` when one is given, then cut into
+    chunks of ``batch_size``, the last one partial."""
+    order = list(range(count))
+    if rng is not None:
         rng.derive("order", epoch).shuffle(order)
-    for start in range(0, len(order), batch_size):
-        chunk = [samples[i] for i in order[start : start + batch_size]]
+    return [order[start : start + batch_size] for start in range(0, count, batch_size)]
+
+
+def _batch_stream(samples, batch_size, shuffle, augment_config, rng, image_size, epoch):
+    for pick in batch_order(len(samples), batch_size, rng if shuffle else None, epoch):
+        chunk = [samples[i] for i in pick]
         xs = np.empty((len(chunk), 3, image_size, image_size), dtype=np.float32)
         ys = np.zeros((len(chunk), 3), dtype=np.float32)
         for row, sample in enumerate(chunk):

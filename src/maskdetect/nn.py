@@ -80,8 +80,8 @@ class BackboneConfig(Config):
     def validate(self) -> None:
         if self.input_size < 8:
             raise ConfigError(f"input_size must be >= 8, got {self.input_size}")
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
+        if self.in_channels != 3:  # the images are RGB
+            raise ConfigError(f"in_channels must be 3, got {self.in_channels}")
         if self.width_mult <= 0:
             raise ConfigError(f"width_mult must be positive, got {self.width_mult}")
         if len(self.stem_channels) != len(self.stem_strides) or not self.stem_channels:
@@ -123,8 +123,8 @@ class HeadConfig(Config):
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.num_classes != 3:  # the labels are the three face states
+            raise ConfigError(f"num_classes must be 3, got {self.num_classes}")
 
 
 # -- layers -----------------------------------------------------------------------

@@ -85,16 +85,10 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise UsageError(f"item() needs a single-element tensor, shape is {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -518,12 +512,6 @@ class BatchNormState:
     def __init__(self, channels: int, dtype=np.float32):
         self.running_mean = np.zeros(channels, dtype=_as_dtype(dtype))
         self.running_var = np.ones(channels, dtype=_as_dtype(dtype))
-
-    def copy(self) -> "BatchNormState":
-        out = BatchNormState(self.running_mean.shape[0], self.running_mean.dtype)
-        out.running_mean[:] = self.running_mean
-        out.running_var[:] = self.running_var
-        return out
 
 
 def batch_norm2d(

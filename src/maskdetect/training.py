@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_into
 from .config import Config
-from .data import AugmentConfig, DatasetIndex, batches
+from .data import AugmentConfig, DatasetIndex, batch_order, batches
 from .errors import ConfigError, NonFiniteError, UsageError
 from .metrics import ClassReport, ConfusionMatrix, classification_report, confusion
 from .nn import BackboneConfig, HeadConfig, Model, build_model
@@ -261,10 +261,17 @@ def evaluate(model: Model, batch_stream, start: int = 0) -> EvalResult:
 _PREFIX_CACHE_BYTES = 256 << 20
 
 
-def _prefix_batches(model, stop, index, config, split, rng=None, epoch=0):
-    """One epoch of ``split`` through the frozen stages ``[0, stop)``, in
-    eval mode: they hold nothing trainable, so train mode would give the
-    same bits.  A ``rng`` shuffles and, on the train split, augments."""
+def _epoch_batches(model, stop, index, config, split, rows=None, rng=None, epoch=0):
+    """One epoch of ``split`` as inputs to stage ``stop``, shuffled (and,
+    on the train split, augmented) by ``rng`` when one is given.  Serves
+    the ``_memoise`` rows when given, else runs each batch through the
+    frozen stages ``[0, stop)`` in eval mode: they hold nothing
+    trainable, so train mode would give the same bits."""
+    if rows is not None:
+        xs, ys = rows
+        for pick in batch_order(len(xs), config.batch_size, rng, epoch):
+            yield T.Tensor(xs[pick]), T.Tensor(ys[pick])
+        return
     augment = config.augment if split == "train" else None
     stream = batches(index, split, config.batch_size, rng is not None,
                      augment_config=augment, rng=rng,
@@ -279,7 +286,7 @@ def _memoise(model, stop, index, config, split):
     count = len(index.samples_for(split))
     rows = None
     at = 0
-    for x, y in _prefix_batches(model, stop, index, config, split):
+    for x, y in _epoch_batches(model, stop, index, config, split):
         if rows is None:  # filled in place, so the budget bounds the peak too
             if x.data[0].nbytes * count > _PREFIX_CACHE_BYTES:
                 return None
@@ -289,18 +296,6 @@ def _memoise(model, stop, index, config, split):
         rows[1][at : at + n] = y.data
         at += n
     return rows
-
-
-def _memo_batches(rows, batch_size, rng=None, epoch=0):
-    """Batches of memoised rows, in the order ``data.batches`` would give
-    their samples: shuffled by ``rng`` for ``epoch`` when one is given."""
-    xs, ys = rows
-    order = list(range(len(xs)))
-    if rng is not None:
-        rng.derive("order", epoch).shuffle(order)
-    for i in range(0, len(order), batch_size):
-        pick = order[i : i + batch_size]
-        yield T.Tensor(xs[pick]), T.Tensor(ys[pick])
 
 
 def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_epoch,
@@ -321,17 +316,11 @@ def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_
     for k in range(epochs):
         epoch = start_epoch + k
         started = time.perf_counter()
-        if train_rows is None:
-            train_stream = _prefix_batches(model, stop, index, config, "train", rng, epoch)
-        else:
-            train_stream = _memo_batches(train_rows, config.batch_size, rng, epoch)
+        train_stream = _epoch_batches(model, stop, index, config, "train", train_rows, rng, epoch)
         train_loss, train_acc = train_epoch(model, train_stream, optimizer, dropout_rng,
                                             epoch, start=stop)
-        if val_rows is None:
-            val_stream = _prefix_batches(model, stop, index, config, "val")
-        else:
-            val_stream = _memo_batches(val_rows, config.batch_size)
-        val = evaluate(model, val_stream, start=stop)
+        val = evaluate(model, _epoch_batches(model, stop, index, config, "val", val_rows),
+                       start=stop)
         logs.append(EpochLog(
             epoch=epoch,
             phase=phase,

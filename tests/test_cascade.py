@@ -893,3 +893,84 @@ def test_cascade_validate_catches_bad_structures():
     casc2 = Cascade(24, 24, (Stage((WeakClassifier(HaarFeature((single,)), 0, -1, 1),), 0.0),))
     with pytest.raises(CascadeFormatError, match="2 or 3"):
         casc2.validate()
+
+
+# -- the rules every cascade meets, whatever its file format -------------------------------
+
+
+def _json_doc(tmp_path):
+    """The two-rect cascade as a JSON document, to mutate before loading."""
+    p = tmp_path / "c.json"
+    save_cascade_json(_two_rect_cascade(), p)
+    return json.loads(p.read_text())
+
+
+def _wc(doc):
+    return doc["stages"][0]["weak_classifiers"][0]
+
+
+@pytest.mark.parametrize("mutate,pointer", [
+    (lambda d: d["stages"][0].update(stage_threshold=math.nan), "/stages/0/stage_threshold"),
+    (lambda d: _wc(d).update(threshold=math.nan), "/stages/0/weak_classifiers/0/threshold"),
+    (lambda d: _wc(d).update(left_value=math.inf, right_value=-math.inf),
+     "/stages/0/weak_classifiers/0/left_value"),
+    (lambda d: _wc(d).update(right_value=math.nan), "/stages/0/weak_classifiers/0/right_value"),
+    (lambda d: _wc(d)["feature"]["rects"][1].update(weight=-math.inf),
+     "/stages/0/weak_classifiers/0/feature/rects/1"),
+    (lambda d: d.update(base_window=[10**400, 24]), "/base_window"),
+    (lambda d: d.update(base_window=[24, cascade_module.MAX_BASE_WINDOW + 1]), "/base_window"),
+], ids=["nan-stage-threshold", "nan-stump-threshold", "infinite-votes", "nan-vote",
+        "infinite-weight", "400-digit-window", "window-past-the-bound"])
+def test_json_cascade_rules_name_the_node(tmp_path, mutate, pointer):
+    doc = _json_doc(tmp_path)
+    mutate(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+    with pytest.raises(CascadeFormatError, match=f"{p}: {pointer}: "):
+        load_cascade_json(p)
+
+
+def test_json_nan_stage_threshold_refused_where_infinite_ones_load(tmp_path):
+    doc = _json_doc(tmp_path)
+    p = tmp_path / "c.json"
+    for threshold in (math.inf, -math.inf):
+        doc["stages"][0]["stage_threshold"] = threshold
+        p.write_text(json.dumps(doc))
+        assert load_cascade_json(p).stages[0].stage_threshold == threshold
+    # NaN would pass every window: the stage test ``margin < 0`` is false for it
+    doc["stages"][0]["stage_threshold"] = math.nan
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CascadeFormatError, match="/stages/0/stage_threshold"):
+        load_cascade_json(p)
+
+
+@pytest.mark.parametrize("old,new,path", [
+    ("<stage_threshold>0.5</stage_threshold>", "<stage_threshold>nan</stage_threshold>",
+     r"/stages/_\[0\]/stage_threshold"),
+    ("<threshold>0.8</threshold>", "<threshold>nan</threshold>",
+     r"/stages/_\[0\]/trees/_\[0\]/_\[0\]/threshold"),
+    ("<left_val>-1.0</left_val>", "<left_val>-inf</left_val>",
+     r"/stages/_\[0\]/trees/_\[0\]/_\[0\]/left_val"),
+    ("<_>0 0 24 12 2.</_>", "<_>0 0 24 12 inf</_>",
+     r"/stages/_\[0\]/trees/_\[0\]/_\[0\]/feature/rects/_\[1\]"),
+    ("<size>24 24</size>", "<size>" + "9" * 400 + " 24</size>", "/size"),
+], ids=["nan-stage-threshold", "nan-stump-threshold", "infinite-vote", "infinite-weight",
+        "400-digit-size"])
+def test_xml_cascade_rules_name_the_node(tmp_path, old, new, path):
+    text = FIXTURE_XML.read_text()
+    assert old in text
+    with pytest.raises(CascadeFormatError, match="^/opencv_storage/band_face" + path + ": "):
+        load_cascade_xml(_write_xml(tmp_path, text.replace(old, new, 1)))
+
+
+def test_detect_refuses_a_programmatic_cascade_that_breaks_a_rule():
+    feature = _two_rect_cascade().stages[0].weak_classifiers[0].feature
+    nan_stage = Cascade(24, 24, (Stage((WeakClassifier(feature, 0.5, -1.0, 1.0),), math.nan),))
+    with pytest.raises(CascadeFormatError, match=r"^stages\[0\]\.stage_threshold: "):
+        detect(_band_image(), nan_stage)
+    # inf + -inf votes sum to NaN, which no stage threshold rejects
+    votes = Stage((WeakClassifier(feature, 0.5, math.inf, math.inf),
+                   WeakClassifier(feature, 0.5, -math.inf, -math.inf)), 1e9)
+    with pytest.raises(CascadeFormatError,
+                       match=r"^stages\[0\]\.weak_classifiers\[0\]\.left_value: "):
+        detect(np.zeros((48, 48), np.uint8), Cascade(24, 24, (votes,)))

@@ -233,6 +233,18 @@ def test_config_not_utf8_exits_two(corpus, tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [("head", "num_classes", "4"),
+                                               ("backbone", "in_channels", "1")])
+def test_class_and_channel_counts_other_than_three_exit_two(corpus, tiny_config, tmp_path,
+                                                            capsys, section, key, value):
+    out = tmp_path / "r"
+    code = main(["train", "--data", str(corpus), "--out", str(out),
+                 "--config", str(tiny_config), f"--{section}.{key}", value])
+    assert code == 2
+    assert f"{section}: {key} must be 3, got {value}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())  # neither config.json nor split.json
+
+
 def test_flag_into_disabled_section_exits_two(corpus, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"augment": None}}))
