@@ -135,25 +135,35 @@ class Cascade:
         def fail(steps, problem):
             raise CascadeFormatError(f"{node(steps)}: {problem}")
 
+        def number(steps, value) -> float:
+            # a Python int past the float range cannot be tested for NaN
+            try:
+                return float(value)
+            except OverflowError:
+                fail(steps, "number out of range")
+
         w, h = self.base_width, self.base_height
         if not (1 <= w <= MAX_BASE_WINDOW and 1 <= h <= MAX_BASE_WINDOW):
             fail(("base_window",), f"window sides must be 1 to {MAX_BASE_WINDOW} px")
         for i, stage in enumerate(self.stages):
-            if math.isnan(stage.stage_threshold):
-                fail(("stages", i, "stage_threshold"), "threshold is NaN")
+            at = ("stages", i, "stage_threshold")
+            if math.isnan(number(at, stage.stage_threshold)):
+                fail(at, "threshold is NaN")
             for j, wc in enumerate(stage.weak_classifiers):
                 at = ("stages", i, "weak_classifiers", j)
-                if math.isnan(wc.threshold):
+                if math.isnan(number(at + ("threshold",), wc.threshold)):
                     fail(at + ("threshold",), "threshold is NaN")
                 for vote in ("left_value", "right_value"):
-                    if not math.isfinite(getattr(wc, vote)):
-                        fail(at + (vote,), f"vote {getattr(wc, vote)} is not finite")
+                    value = number(at + (vote,), getattr(wc, vote))
+                    if not math.isfinite(value):
+                        fail(at + (vote,), f"vote {value} is not finite")
                 rects = wc.feature.rects
                 if not 2 <= len(rects) <= 3:
                     fail(at + ("feature", "rects"), f"{len(rects)} rects, expected 2 or 3")
                 for k, r in enumerate(rects):
-                    if not math.isfinite(r.weight):
-                        fail(at + ("feature", "rects", k), f"weight {r.weight} is not finite")
+                    weight = number(at + ("feature", "rects", k), r.weight)
+                    if not math.isfinite(weight):
+                        fail(at + ("feature", "rects", k), f"weight {weight} is not finite")
                     if r.w < 1 or r.h < 1 or r.x < 0 or r.y < 0 or r.x + r.w > w \
                             or r.y + r.h > h:
                         fail(at + ("feature", "rects", k), f"rect ({r.x},{r.y},{r.w},{r.h}) "

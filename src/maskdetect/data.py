@@ -149,25 +149,15 @@ def _collect_ppm(directory: str) -> list[str]:
 def scan_dataset(roots, layout="native") -> DatasetIndex:
     """Build an (unsplit) index from one or more corpus roots.
 
-    ``layout`` is either a name from :data:`LAYOUTS` or an explicit
-    ``{subdirectory_name: Label}`` mapping.  Unknown subdirectories under a
-    root are reported in ``index.warnings`` rather than raising, so a stray
-    folder cannot abort a scan.
+    ``layout`` names an entry of :data:`LAYOUTS`.  Unknown subdirectories
+    under a root are reported in ``index.warnings`` rather than raising, so
+    a stray folder cannot abort a scan.
     """
     if isinstance(roots, (str, os.PathLike)):
         roots = [roots]
-    if isinstance(layout, str):
-        try:
-            layout_map = LAYOUTS[layout]
-        except KeyError:
-            raise ConfigError(
-                f"unknown layout '{layout}'; expected one of {sorted(LAYOUTS)}"
-            ) from None
-    else:
-        layout_map = dict(layout)
-        for name, label in layout_map.items():
-            if not isinstance(label, Label):
-                raise ConfigError(f"layout entry '{name}' must map to a Label")
+    if layout not in LAYOUTS:
+        raise ConfigError(f"unknown layout '{layout}'; expected one of {sorted(LAYOUTS)}")
+    layout_map = LAYOUTS[layout]
 
     index = DatasetIndex()
     for root in roots:

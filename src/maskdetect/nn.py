@@ -139,13 +139,12 @@ class Conv2d:
         self.stride = stride
         self.padding = padding
         self.weight = T.Parameter(
-            name + ".weight",
-            T.Tensor(_he_uniform(rng, in_ch * kh * kw, (out_ch, in_ch, kh, kw))),
+            name + ".weight", _he_uniform(rng, in_ch * kh * kw, (out_ch, in_ch, kh, kw))
         )
-        self.bias = T.Parameter(name + ".bias", T.Tensor(np.zeros(out_ch, dtype=np.float32)))
+        self.bias = T.Parameter(name + ".bias", np.zeros(out_ch, dtype=np.float32))
 
     def forward(self, x: T.Tensor) -> T.Tensor:
-        return T.conv2d(x, self.weight.tensor, self.bias.tensor, self.stride, self.padding)
+        return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
     def parameters(self) -> list:
         return [self.weight, self.bias]
@@ -161,13 +160,13 @@ class BatchNorm2d:
 
     def __init__(self, name: str, channels: int):
         self.name = name
-        self.gamma = T.Parameter(name + ".gamma", T.Tensor(np.ones(channels, dtype=np.float32)))
-        self.beta = T.Parameter(name + ".beta", T.Tensor(np.zeros(channels, dtype=np.float32)))
+        self.gamma = T.Parameter(name + ".gamma", np.ones(channels, dtype=np.float32))
+        self.beta = T.Parameter(name + ".beta", np.zeros(channels, dtype=np.float32))
         self.state = T.BatchNormState(channels, np.float32)
 
     def forward(self, x: T.Tensor, mode: str) -> T.Tensor:
         effective = "train" if (mode == "train" and self.gamma.trainable) else "eval"
-        return T.batch_norm2d(x, self.gamma.tensor, self.beta.tensor, self.state, effective)
+        return T.batch_norm2d(x, self.gamma, self.beta, self.state, effective)
 
     def parameters(self) -> list:
         return [self.gamma, self.beta]
@@ -186,6 +185,7 @@ class ConvBnRelu:
                  stride: int, padding, rng: SplitMix64):
         self.conv = Conv2d(name + ".conv", in_ch, out_ch, kernel, stride, padding, rng)
         self.bn = BatchNorm2d(name + ".bn", out_ch)
+        self.out_channels = out_ch
 
     def forward(self, x: T.Tensor, mode: str) -> T.Tensor:
         return T.relu(self.bn.forward(self.conv.forward(x), mode))
@@ -202,12 +202,12 @@ class Linear:
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: SplitMix64):
         self.weight = T.Parameter(
-            name + ".weight", T.Tensor(_he_uniform(rng, in_features, (in_features, out_features)))
+            name + ".weight", _he_uniform(rng, in_features, (in_features, out_features))
         )
-        self.bias = T.Parameter(name + ".bias", T.Tensor(np.zeros(out_features, dtype=np.float32)))
+        self.bias = T.Parameter(name + ".bias", np.zeros(out_features, dtype=np.float32))
 
     def forward(self, x: T.Tensor) -> T.Tensor:
-        return T.linear(x, self.weight.tensor, self.bias.tensor)
+        return T.linear(x, self.weight, self.bias)
 
     def parameters(self) -> list:
         return [self.weight, self.bias]
@@ -216,59 +216,47 @@ class Linear:
 class InceptionBlock:
     """Parallel conv branches concatenated along channels.
 
-    Branch order in the output is fixed: 1x1, 3x3 (behind a 1x1 reduce),
-    5x5 (behind a reduce), optionally 1x7 then 7x1 (behind a reduce), and
-    an averaging pool followed by a 1x1 projection.  Spatial size is
-    preserved by every branch.
+    ``branches`` lists the branches in output order, each a chain of
+    conv+norm+relu units: 1x1, 3x3 (behind a 1x1 reduce), 5x5 (behind a
+    reduce), optionally 1x7 then 7x1 (behind a reduce), and last a 1x1
+    projection, which reads a 3x3 average pool of the input.  Spatial size
+    is preserved by every branch.
     """
 
     def __init__(self, name: str, in_ch: int, widths: InceptionWidths,
                  mult: float, factorized: bool, rng: SplitMix64):
         s = lambda v: _scaled(v, mult)
-        self.factorized = factorized
-        self.b1 = ConvBnRelu(name + ".b1x1", in_ch, s(widths.b1x1), (1, 1), 1, 0, rng)
-        self.b3_reduce = ConvBnRelu(name + ".b3x3.reduce", in_ch, s(widths.b3x3_reduce),
-                                    (1, 1), 1, 0, rng)
-        self.b3 = ConvBnRelu(name + ".b3x3.conv", s(widths.b3x3_reduce), s(widths.b3x3),
-                             (3, 3), 1, 1, rng)
-        self.b5_reduce = ConvBnRelu(name + ".b5x5.reduce", in_ch, s(widths.b5x5_reduce),
-                                    (1, 1), 1, 0, rng)
-        self.b5 = ConvBnRelu(name + ".b5x5.conv", s(widths.b5x5_reduce), s(widths.b5x5),
-                             (5, 5), 1, 2, rng)
+        unit = lambda suffix, cin, cout, kernel, padding: ConvBnRelu(
+            f"{name}.{suffix}", cin, cout, kernel, 1, padding, rng)
+        r3, r5, r7 = s(widths.b3x3_reduce), s(widths.b5x5_reduce), s(widths.b7x7_reduce)
+        # units are built, and so draw their weights, in list order
+        self.branches = [
+            [unit("b1x1", in_ch, s(widths.b1x1), (1, 1), 0)],
+            [unit("b3x3.reduce", in_ch, r3, (1, 1), 0),
+             unit("b3x3.conv", r3, s(widths.b3x3), (3, 3), 1)],
+            [unit("b5x5.reduce", in_ch, r5, (1, 1), 0),
+             unit("b5x5.conv", r5, s(widths.b5x5), (5, 5), 2)],
+        ]
         if factorized:
-            self.b7_reduce = ConvBnRelu(name + ".b7x7.reduce", in_ch, s(widths.b7x7_reduce),
-                                        (1, 1), 1, 0, rng)
-            self.b7_row = ConvBnRelu(name + ".b7x7.row", s(widths.b7x7_reduce), s(widths.b7x7),
-                                     (1, 7), 1, (0, 3), rng)
-            self.b7_col = ConvBnRelu(name + ".b7x7.col", s(widths.b7x7), s(widths.b7x7),
-                                     (7, 1), 1, (3, 0), rng)
-        self.pool_proj = ConvBnRelu(name + ".pool.proj", in_ch, s(widths.pool_proj),
-                                    (1, 1), 1, 0, rng)
-        self.out_channels = (
-            s(widths.b1x1) + s(widths.b3x3) + s(widths.b5x5) + s(widths.pool_proj)
-            + (s(widths.b7x7) if factorized else 0)
-        )
+            c7 = s(widths.b7x7)
+            self.branches.append([unit("b7x7.reduce", in_ch, r7, (1, 1), 0),
+                                  unit("b7x7.row", r7, c7, (1, 7), (0, 3)),
+                                  unit("b7x7.col", c7, c7, (7, 1), (3, 0))])
+        self.branches.append([unit("pool.proj", in_ch, s(widths.pool_proj), (1, 1), 0)])
+        self.b1 = self.branches[0][0]
+        self.out_channels = sum(branch[-1].out_channels for branch in self.branches)
 
     def forward(self, x: T.Tensor, mode: str) -> T.Tensor:
-        branches = [
-            self.b1.forward(x, mode),
-            self.b3.forward(self.b3_reduce.forward(x, mode), mode),
-            self.b5.forward(self.b5_reduce.forward(x, mode), mode),
-        ]
-        if self.factorized:
-            branches.append(
-                self.b7_col.forward(self.b7_row.forward(self.b7_reduce.forward(x, mode), mode),
-                                    mode)
-            )
-        branches.append(self.pool_proj.forward(T.pool2d(x, "avg", 3, 1, padding=1), mode))
-        return T.concat_channels(branches)
+        outs = []
+        for branch in self.branches:
+            y = T.pool2d(x, "avg", 3, 1, padding=1) if branch is self.branches[-1] else x
+            for unit in branch:
+                y = unit.forward(y, mode)
+            outs.append(y)
+        return T.concat_channels(outs)
 
     def _units(self) -> list:
-        units = [self.b1, self.b3_reduce, self.b3, self.b5_reduce, self.b5]
-        if self.factorized:
-            units += [self.b7_reduce, self.b7_row, self.b7_col]
-        units.append(self.pool_proj)
-        return units
+        return [unit for branch in self.branches for unit in branch]
 
     def parameters(self) -> list:
         return [p for u in self._units() for p in u.parameters()]
@@ -412,7 +400,7 @@ class Model:
 
     def zero_grad(self) -> None:
         for p in self.parameters():
-            p.tensor.zero_grad()
+            p.zero_grad()
 
     def set_trainable(self, prefix: str, flag: bool) -> int:
         """Toggle every parameter whose name starts with ``prefix``.

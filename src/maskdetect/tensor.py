@@ -171,36 +171,28 @@ class Tensor:
         return _node(self.data.reshape(shape), (self, lambda g: g.reshape(old)))
 
 
-class Parameter:
-    """Named trainable tensor; ``trainable`` gates gradient recording."""
+class Parameter(Tensor):
+    """Named tensor of model weights; ``trainable`` is its ``requires_grad``,
+    and turning it off drops the gradient."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, tensor: Tensor, trainable: bool = True):
+    def __init__(self, name: str, data, trainable: bool = True):
+        super().__init__(data, requires_grad=trainable)
         self.name = name
-        self.tensor = tensor
-        self.tensor.requires_grad = trainable
 
     @property
     def trainable(self) -> bool:
-        return self.tensor.requires_grad
+        return self.requires_grad
 
     @trainable.setter
     def trainable(self, flag: bool) -> None:
-        self.tensor.requires_grad = bool(flag)
+        self.requires_grad = bool(flag)
         if not flag:
-            self.tensor.grad = None
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self.tensor.grad
+            self.grad = None
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
 
 
 # -- graph bookkeeping ---------------------------------------------------------

@@ -90,7 +90,7 @@ class Adam:
             m_hat = m / (1.0 - self.beta1**self.t)
             v_hat = v / (1.0 - self.beta2**self.t)
             update = self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-            p.tensor.data -= update.astype(p.tensor.data.dtype)
+            p.data -= update.astype(p.data.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def capture_state(model: Model) -> dict:
 def restore_state(model: Model, state: dict) -> None:
     """Write captured arrays back (in place; trainable flags untouched)."""
     for p in model.parameters():
-        p.tensor.data[...] = state[p.name]
+        p.data[...] = state[p.name]
     for name, buf in model.buffers():
         buf[...] = state[name]
 

@@ -974,3 +974,20 @@ def test_detect_refuses_a_programmatic_cascade_that_breaks_a_rule():
     with pytest.raises(CascadeFormatError,
                        match=r"^stages\[0\]\.weak_classifiers\[0\]\.left_value: "):
         detect(np.zeros((48, 48), np.uint8), Cascade(24, 24, (votes,)))
+
+
+@pytest.mark.parametrize("field,node", [
+    ("stage_threshold", r"stages\[0\]\.stage_threshold"),
+    ("threshold", r"stages\[0\]\.weak_classifiers\[0\]\.threshold"),
+    ("left_value", r"stages\[0\]\.weak_classifiers\[0\]\.left_value"),
+    ("weight", r"stages\[0\]\.weak_classifiers\[0\]\.feature\.rects\[1\]"),
+], ids=["stage-threshold", "stump-threshold", "left-value", "rect-weight"])
+def test_detect_refuses_a_programmatic_number_past_the_float_range(field, node):
+    huge = 10**400  # float(huge) raises OverflowError
+    rects = (HaarRect(0, 0, 24, 12, -1.0),
+             HaarRect(0, 12, 24, 12, huge if field == "weight" else 2.0))
+    wc = WeakClassifier(HaarFeature(rects), huge if field == "threshold" else 0.5,
+                        huge if field == "left_value" else -1.0, 1.0)
+    stage = Stage((wc,), huge if field == "stage_threshold" else 0.0)
+    with pytest.raises(CascadeFormatError, match=f"^{node}: number out of range$"):
+        detect(np.zeros((48, 48), np.uint8), Cascade(24, 24, (stage,)))

@@ -1,5 +1,6 @@
 """Checkpoint format: roundtrips, byte determinism, and corruption handling."""
 
+import hashlib
 import json
 import struct
 
@@ -56,6 +57,18 @@ def test_saved_bytes_are_deterministic(tmp_path):
     # an independently built identical model writes the same bytes too
     save_checkpoint(_model(seed=4), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# SHA-256 of the seed-0 desk model as first saved: it pins the SplitMix64
+# draw order of the initial weights, the parameter names and the manifest
+# order.  Init and save use no BLAS, so it should not depend on the numpy build.
+INITIAL_DESK_SHA256 = "ffec5ed025a1bbc03febc4fd3bd106f4d298b8be0036ecc009a198acd2ebdaff"
+
+
+def test_initial_desk_weights_match_the_golden_hash(tmp_path):
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(build_model(desk_backbone(), HeadConfig(), seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_SHA256
 
 
 def test_header_layout(tmp_path):

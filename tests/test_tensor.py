@@ -543,9 +543,9 @@ def test_float32_default_and_float64_opt_in():
 
 def test_parameter_trainable_toggle():
     p = T.Parameter("head.fc1.weight", T.Tensor(np.ones((2, 2))), trainable=True)
-    assert p.trainable and p.tensor.requires_grad
-    y = T.linear(T.Tensor(np.ones((1, 2))), p.tensor, T.Tensor(np.zeros(2)))
+    assert p.trainable and p.requires_grad
+    y = T.linear(T.Tensor(np.ones((1, 2))), p, T.Tensor(np.zeros(2)))
     y.sum().backward()
     assert p.grad is not None
     p.trainable = False
-    assert p.grad is None and not p.tensor.requires_grad
+    assert p.grad is None and not p.requires_grad

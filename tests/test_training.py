@@ -68,7 +68,7 @@ def test_adam_zero_gradients_identity():
     before = p.data.copy()
     opt = Adam([p], lr=1e-3)
     for _ in range(3):
-        p.tensor.grad = np.zeros_like(p.data)
+        p.grad = np.zeros_like(p.data)
         opt.step()
     assert np.array_equal(p.data, before)
     assert opt.t == 3
@@ -78,7 +78,7 @@ def test_adam_first_step_hand_value():
     # t=1, g=1, lr=1e-3: m_hat = v_hat = 1, so the step is -lr/(1+eps)
     p = scalar_param(0.0)
     opt = Adam([p], lr=1e-3)
-    p.tensor.grad = np.array([1.0], dtype=np.float64)
+    p.grad = np.array([1.0], dtype=np.float64)
     opt.step()
     want = -1e-3 / (1.0 + 1e-8)
     assert abs(p.data.item() - want) < 1e-18
@@ -104,7 +104,7 @@ def test_adam_matches_reference_on_quadratic():
     opt = Adam([p], lr=lr)
     got = []
     for _ in range(3):
-        p.tensor.grad = np.array([2.0 * p.data.item()], dtype=np.float64)
+        p.grad = np.array([2.0 * p.data.item()], dtype=np.float64)
         opt.step()
         got.append(p.data.item())
     assert np.allclose(got, reference, atol=1e-12, rtol=0.0)
@@ -125,7 +125,7 @@ def test_adam_second_moment_nonnegative():
     opt = Adam([p], lr=1e-3)
     rng = SplitMix64(2)
     for _ in range(20):
-        p.tensor.grad = rng.normal(0.0, 3.0, shape=4).astype(np.float32)
+        p.grad = rng.normal(0.0, 3.0, shape=4).astype(np.float32)
         opt.step()
     assert np.all(opt.v["w"] >= 0.0)
 
@@ -217,8 +217,8 @@ def test_train_epoch_stops_on_a_nan_pixel():
 
 def test_evaluate_constant_predictor_on_balanced_set():
     model = frozen_head_model()
-    model.out.weight.tensor.data[...] = 0.0
-    model.out.bias.tensor.data[...] = np.array([1.0, 0.0, 0.0], dtype=np.float32)
+    model.out.weight.data[...] = 0.0
+    model.out.bias.data[...] = np.array([1.0, 0.0, 0.0], dtype=np.float32)
     result = evaluate(model, iter(blob_batches(1, n_batches=2, batch=6)))
     assert result.pred == [0] * 12
     assert abs(result.accuracy - 1.0 / 3.0) < 1e-12
@@ -226,8 +226,8 @@ def test_evaluate_constant_predictor_on_balanced_set():
 
 def test_evaluate_ties_resolve_to_lowest_class():
     model = frozen_head_model()
-    model.out.weight.tensor.data[...] = 0.0
-    model.out.bias.tensor.data[...] = 0.0  # all logits equal -> uniform softmax
+    model.out.weight.data[...] = 0.0
+    model.out.bias.data[...] = 0.0  # all logits equal -> uniform softmax
     result = evaluate(model, iter(blob_batches(2)))
     assert set(result.pred) == {0}
 
