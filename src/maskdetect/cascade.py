@@ -9,7 +9,6 @@ until the final variance normalization.
 
 from __future__ import annotations
 
-import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import Config
+from .config import Config, read_json, write_json
 from .errors import CascadeFormatError, InputError, ParameterError
 
 IOU_GROUPING_THRESHOLD = 0.3
@@ -582,7 +581,7 @@ def save_cascade_json(cascade: Cascade, path) -> None:
             for stage in cascade.stages
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def _want(obj, key, kind, pointer: str, file):
@@ -619,12 +618,10 @@ def load_cascade_json(path) -> Cascade:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
     except OSError as e:
         raise CascadeFormatError(f"{path}: cannot read: {e}") from e
-    except (ValueError, RecursionError) as e:
-        # ValueError: undecodable bytes, bad syntax, an integer past int()'s digit limit
-        raise CascadeFormatError(f"{path}: not valid JSON: {e}") from e
+    doc = read_json(raw, CascadeFormatError, f"{path}: not valid JSON")
     if not isinstance(doc, dict):
         raise CascadeFormatError(f"{path}: /: expected a JSON object")
 

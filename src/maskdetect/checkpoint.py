@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_json
 from .errors import CheckpointError, ConfigError
 from .nn import BackboneConfig, HeadConfig, Model
 
@@ -91,10 +92,7 @@ def _read(path) -> tuple[dict, bytes]:
     (hlen,) = struct.unpack("<I", raw[4:8])
     if 8 + hlen > len(raw):
         raise CheckpointError(f"{path}: truncated header (wants {hlen} bytes)")
-    try:
-        header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
+    header = read_json(raw[8 : 8 + hlen], CheckpointError, f"{path}: header is not valid JSON")
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header must be a JSON object")
     version = header.get("format_version")

@@ -25,7 +25,6 @@ usage or configuration error.  All error text goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from .cascade import (
     to_grayscale,
 )
 from .checkpoint import load_checkpoint, load_into, save_checkpoint
-from .config import Config, parse_text, scalar_leaves
+from .config import Config, parse_text, read_json, scalar_leaves, write_json
 from .data import (
     LABEL_NAMES,
     SPLIT_NAMES,
@@ -153,12 +152,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                file_config = json.load(fh)
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read config file: {exc}") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        file_config = read_json(raw, ConfigError, f"{path}: invalid JSON")
         if not isinstance(file_config, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         _overlay(config, file_config)
@@ -184,26 +182,26 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(config, problems)
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _prepare_out_dir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
 
 
 def _split_index(data_root, config, split_manifest=None):
+    """Scan and split ``data_root``, printing the scan's warnings, then
+    the ones the split added."""
     index = scan_dataset(data_root, layout=config.data.layout)
     for warning in index.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if len(index) == 0:
         raise InputError(f"no samples found under {data_root}")
     if split_manifest is not None:
-        return apply_split_manifest(index, split_manifest)
-    return split_dataset(index, ratios=config.data.ratios, seed=config.data.split_seed)
+        split = apply_split_manifest(index, split_manifest)
+    else:
+        split = split_dataset(index, ratios=config.data.ratios, seed=config.data.split_seed)
+    for warning in split.warnings[len(index.warnings):]:
+        print(f"warning: {warning}", file=sys.stderr)
+    return split
 
 
 def _eval_split(model, index, split, batch_size):
@@ -223,7 +221,7 @@ def _write_eval_outputs(out_dir: str, result, extra: dict | None = None) -> None
     payload["loss"] = result.loss
     if extra:
         payload.update(extra)
-    _write_json(os.path.join(out_dir, "metrics.json"), payload)
+    write_json(os.path.join(out_dir, "metrics.json"), payload)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(render_report(result.report) + "\n")
     with open(os.path.join(out_dir, "confusion.csv"), "w", encoding="utf-8") as fh:
@@ -248,7 +246,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             {"path": s.path, "label": LABEL_NAMES[s.label]} for s in index.samples
         ],
     }
-    _write_json(args.out, manifest)
+    write_json(args.out, manifest)
     for warning in index.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     counts = " ".join(f"{k}={v}" for k, v in index.class_counts().items())
@@ -264,7 +262,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "counts": index.class_counts(),
     }
-    _write_json(os.path.join(args.out, "synth_config.json"), meta)
+    write_json(os.path.join(args.out, "synth_config.json"), meta)
     print(f"wrote {len(index)} synthetic images to {args.out}")
     return 0
 
@@ -273,7 +271,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args)
     train_config = config.train
     out_dir = _prepare_out_dir(args.out)
-    _write_json(os.path.join(out_dir, "config.json"), config.to_dict())
+    write_json(os.path.join(out_dir, "config.json"), config.to_dict())
 
     index = _split_index(args.data, config, args.split_manifest)
     save_split_manifest(index, os.path.join(out_dir, "split.json"))
@@ -320,7 +318,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args)
     out_dir = _prepare_out_dir(args.out)
-    _write_json(os.path.join(out_dir, "config.json"), config.to_dict())
+    write_json(os.path.join(out_dir, "config.json"), config.to_dict())
 
     index = _split_index(args.data, config, args.split_manifest)
     save_split_manifest(index, os.path.join(out_dir, "split.json"))
@@ -356,7 +354,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"unknown split '{args.split}'; expected one of {list(SPLIT_NAMES)}"
         )
     out_dir = _prepare_out_dir(args.out)
-    _write_json(os.path.join(out_dir, "config.json"), config.to_dict())
+    write_json(os.path.join(out_dir, "config.json"), config.to_dict())
 
     model = load_checkpoint(args.checkpoint)
     index = _split_index(args.data, config, args.split_manifest)
@@ -385,12 +383,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         "image": os.fspath(args.image),
         "cascade": os.fspath(args.cascade),
         "params": config.detect.to_dict(),
-        "boxes": [
-            {"x": b.x, "y": b.y, "w": b.w, "h": b.h, "score": b.score}
-            for b in boxes
-        ],
+        "boxes": [box._asdict() for box in boxes],
     }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     print(f"{len(boxes)} boxes -> {args.out}")
     return 0
 
@@ -460,7 +455,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             }
         )
     save_ppm(annotated, args.out)
-    _write_json(
+    write_json(
         json_out,
         {
             "image": os.fspath(args.image),

@@ -9,10 +9,14 @@ wrong types and ``validate()`` errors are all collected into one
 on every section whose fields are well typed, even when a section nested
 in it failed its own ``validate()``, so checks that span sections are
 reported together with the rest.
+
+Every JSON file the package reads is decoded by :func:`read_json`, and
+every indented JSON file it writes goes through :func:`write_json`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import types
 import typing
@@ -82,6 +86,12 @@ def _decode(hint, value, path: str, problems: list):
     if not ok or (isinstance(value, bool) and hint is not bool):
         problems.append(f"{path}: expected {_KIND_NAMES[hint]}, got {value!r}")
         return _BAD
+    if hint in (int, float):
+        try:
+            float(value)  # an integer past the float range overflows wherever it is used
+        except OverflowError:
+            problems.append(f"{path}: number out of range")
+            return _BAD
     return value
 
 
@@ -133,3 +143,20 @@ def parse_text(kind: type, text: str):
         return _BOOL_WORDS[text.strip().lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
         raise ValueError(f"expected {_KIND_NAMES[kind]}, got {text!r}") from None
+
+
+def read_json(raw: bytes, error: type[Exception], prefix: str):
+    """Decode one JSON document from UTF-8 ``raw``.  Bad UTF-8, bad syntax,
+    an integer past ``int()``'s digit limit and nesting past the recursion
+    limit all raise ``error(f"{prefix}: {reason}")``."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{prefix}: {exc}") from None
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -10,7 +10,6 @@ an augmented epoch, or a synthetic dataset is a pure function of its seed.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .config import Config
+from .config import Config, read_json, write_json
 from .errors import ConfigError, InputError, ParameterError, PPMError, UsageError
 from .rng import SplitMix64
 from .tensor import Tensor
@@ -245,17 +244,12 @@ def save_split_manifest(index: DatasetIndex, path: str) -> None:
         "ratios": list(index.ratios),
         "splits": {s.path: s.split for s in index.samples},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
 
 
 def load_split_manifest(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"split manifest is not valid JSON: {path}: {exc}") from None
+    with open(path, "rb") as fh:
+        manifest = read_json(fh.read(), ConfigError, f"split manifest is not valid JSON: {path}")
     if not isinstance(manifest, dict):
         raise ConfigError(f"split manifest must be a JSON object: {path}")
     for key in ("seed", "ratios", "splits"):
@@ -272,11 +266,12 @@ def apply_split_manifest(index: DatasetIndex, manifest) -> DatasetIndex:
     """Re-apply a saved split to a freshly scanned index.
 
     ``manifest`` may be a path or an already-loaded dict.  Every sample in
-    the index must be present in the manifest.
+    the index must be present in the manifest.  Paths are compared after
+    ``os.path.normpath``, so ``corpus/a.ppm`` and ``./corpus/a.ppm`` match.
     """
     if isinstance(manifest, (str, os.PathLike)):
         manifest = load_split_manifest(os.fspath(manifest))
-    splits = manifest["splits"]
+    splits = {os.path.normpath(path): split for path, split in manifest["splits"].items()}
     out = DatasetIndex(
         samples=[Sample(s.path, s.label) for s in index.samples],
         seed=manifest["seed"],
@@ -285,9 +280,10 @@ def apply_split_manifest(index: DatasetIndex, manifest) -> DatasetIndex:
         source_counts={k: dict(v) for k, v in index.source_counts.items()},
     )
     for s in out.samples:
-        if s.path not in splits:
+        key = os.path.normpath(s.path)
+        if key not in splits:
             raise InputError(f"sample not in split manifest: {s.path}")
-        assigned = splits[s.path]
+        assigned = splits[key]
         if assigned not in SPLIT_NAMES:
             raise ConfigError(f"manifest assigns invalid split '{assigned}' to {s.path}")
         s.split = assigned
@@ -604,8 +600,9 @@ def batches(
     and normalized; targets are [N, 3] one-hot rows.
 
     Shuffling and per-sample augmentation randomness are derived from
-    ``rng`` together with ``epoch`` and the sample path, so an epoch's
-    batches depend only on (seed, epoch) regardless of consumption order.
+    ``rng`` together with ``epoch`` and the sample's position in the split,
+    so an epoch's batches depend only on (seed, epoch) regardless of
+    consumption order or of how the data root is spelled.
     """
     if split not in SPLIT_NAMES:
         raise ParameterError(f"split must be one of {SPLIT_NAMES}, got '{split}'")
@@ -636,16 +633,15 @@ def batch_order(count: int, batch_size: int, rng: SplitMix64 | None = None,
 
 def _batch_stream(samples, batch_size, shuffle, augment_config, rng, image_size, epoch):
     for pick in batch_order(len(samples), batch_size, rng if shuffle else None, epoch):
-        chunk = [samples[i] for i in pick]
-        xs = np.empty((len(chunk), 3, image_size, image_size), dtype=np.float32)
-        ys = np.zeros((len(chunk), 3), dtype=np.float32)
-        for row, sample in enumerate(chunk):
+        xs = np.empty((len(pick), 3, image_size, image_size), dtype=np.float32)
+        ys = np.zeros((len(pick), 3), dtype=np.float32)
+        for row, i in enumerate(pick):
+            sample = samples[i]
             image = load_ppm(sample.path)
             if image.shape[:2] != (image_size, image_size):
                 image = resize_bilinear(image, image_size, image_size)
             if augment_config is not None:
-                sample_rng = rng.derive("augment", epoch, sample.path)
-                image = augment(image, augment_config, sample_rng)
+                image = augment(image, augment_config, rng.derive("augment", epoch, i))
             xs[row] = normalize(image).data
             ys[row, int(sample.label)] = 1.0
         yield Tensor(xs), Tensor(ys)

@@ -10,16 +10,15 @@ a run reproduces every parameter bit and every logged number except
 from __future__ import annotations
 
 import csv
-import json
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_into
-from .config import Config
+from .config import Config, write_json
 from .data import AugmentConfig, DatasetIndex, batch_order, batches
 from .errors import ConfigError, NonFiniteError, UsageError
 from .metrics import ClassReport, ConfusionMatrix, classification_report, confusion
@@ -496,59 +495,35 @@ def select_best(rows: list[SweepRow]) -> int:
 # log and sweep serialization
 # ---------------------------------------------------------------------------
 
-_LOG_FIELDS = ("epoch", "phase", "train_loss", "train_acc",
-               "val_loss", "val_acc", "wall_seconds")
+def _write_csv(path, record_type, records) -> None:
+    """A header line of ``record_type``'s field names, then one row per
+    record with full-precision values."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(f.name for f in fields(record_type))
+        writer.writerows(astuple(record) for record in records)
 
 
 def write_logs(logs: list[EpochLog], path) -> None:
     """Per-epoch CSV with one header line and full-precision values."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LOG_FIELDS)
-        for log in logs:
-            writer.writerow([getattr(log, f) for f in _LOG_FIELDS])
+    _write_csv(path, EpochLog, logs)
 
 
 def read_logs(path) -> list[EpochLog]:
+    kinds = get_type_hints(EpochLog)
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            out.append(EpochLog(
-                epoch=int(row["epoch"]),
-                phase=int(row["phase"]),
-                train_loss=float(row["train_loss"]),
-                train_acc=float(row["train_acc"]),
-                val_loss=float(row["val_loss"]),
-                val_acc=float(row["val_acc"]),
-                wall_seconds=float(row["wall_seconds"]),
-            ))
-    return out
-
-
-_SWEEP_FIELDS = ("neurons", "hidden_layers", "train_acc", "val_acc",
-                 "train_loss", "val_loss", "image_size", "epochs", "num_params")
+        return [EpochLog(**{name: kind(row[name]) for name, kind in kinds.items()})
+                for row in csv.DictReader(fh)]
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_FIELDS)
-        for row in result.rows:
-            writer.writerow([getattr(row, f) for f in _SWEEP_FIELDS])
+    _write_csv(path, SweepRow, result.rows)
 
 
 def write_sweep_json(result: SweepResult, path) -> None:
-    doc = {
-        "rows": [
-            {f: getattr(row, f) for f in _SWEEP_FIELDS} for row in result.rows
-        ],
-        "best": {
-            "neurons": result.best_row.neurons,
-            "hidden_layers": result.best_row.hidden_layers,
-            "val_acc": result.best_row.val_acc,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    best = result.best_row
+    write_json(path, {
+        "rows": [asdict(row) for row in result.rows],
+        "best": {"neurons": best.neurons, "hidden_layers": best.hidden_layers,
+                 "val_acc": best.val_acc},
+    })

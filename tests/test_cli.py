@@ -7,6 +7,7 @@ routing, and the files each command leaves behind.  Runs use a tiny
 
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -338,6 +339,17 @@ def test_train_non_finite_loss_exits_one(corpus, tiny_config, tmp_path, capsys):
     assert not (tmp_path / "r" / "final.ckpt").exists()
 
 
+def test_train_reports_the_split_warnings(tmp_path, tiny_config, capsys):
+    root = tmp_path / "two-classes"
+    synth_dataset(8, 32, seed=1, out_dir=root)
+    shutil.rmtree(root / "incorrect_mask")
+    code = main(["train", "--data", str(root), "--out", str(tmp_path / "r"),
+                 "--config", str(tiny_config),
+                 "--train.epochs_phase1", "0", "--train.epochs_phase2", "0"])
+    assert code == 0
+    assert "warning: class 'incorrect_mask' has no samples" in capsys.readouterr().err
+
+
 def test_train_init_backbone(corpus, tiny_config, train_run, tmp_path):
     out = tmp_path / "adopted"
     code = main(["train", "--data", str(corpus), "--out", str(out),
@@ -374,6 +386,51 @@ def test_evaluate_reproduces_train_test_metrics(corpus, tiny_config, train_run, 
     assert evaluated["accuracy"] == trained["accuracy"]
     assert evaluated["classes"] == trained["classes"]
     assert (out / "report.txt").read_text() == (train_run / "report.txt").read_text()
+
+
+def test_evaluate_split_manifest_ignores_data_root_spelling(corpus, tiny_config, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(corpus.parent)
+    run = tmp_path / "run"
+    assert main(["train", "--data", corpus.name, "--out", str(run),
+                 "--config", str(tiny_config)]) == 0
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--data", os.path.join(".", corpus.name),
+                 "--checkpoint", str(run / "best.ckpt"), "--out", str(out),
+                 "--split-manifest", str(run / "split.json"), "--config", str(tiny_config)])
+    assert code == 0
+    evaluated = json.loads((out / "metrics.json").read_text())
+    trained = json.loads((run / "metrics.json").read_text())
+    assert evaluated["accuracy"] == trained["accuracy"]
+
+
+CRAFTED_JSON = {"deep-array": "[" * 100_000 + "]" * 100_000, "long-integer": "1" * 5000}
+
+
+@pytest.mark.parametrize("inner", sorted(CRAFTED_JSON))
+@pytest.mark.parametrize("kind, want_code, message", [
+    ("config", 2, "invalid JSON"),
+    ("manifest", 2, "split manifest is not valid JSON"),
+    ("checkpoint", 1, "header is not valid JSON"),
+], ids=["config", "manifest", "checkpoint"])
+def test_crafted_json_files_exit_with_their_code(corpus, tiny_config, train_run, tmp_path,
+                                                 capsys, kind, want_code, message, inner):
+    bad = tmp_path / "bad"
+    files = {"config": str(tiny_config), "manifest": str(train_run / "split.json"),
+             "checkpoint": str(train_run / "best.ckpt")}
+    if kind == "checkpoint":
+        raw = (train_run / "best.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = raw[8:8 + hlen].replace(b'"seed":3', b'"seed":' + CRAFTED_JSON[inner].encode())
+        bad.write_bytes(raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + hlen:])
+    else:
+        bad.write_text('{"seed": ' + CRAFTED_JSON[inner] + "}")
+    files[kind] = str(bad)
+    code = main(["evaluate", "--data", str(corpus), "--checkpoint", files["checkpoint"],
+                 "--out", str(tmp_path / "e"), "--split-manifest", files["manifest"],
+                 "--config", files["config"]])
+    assert code == want_code
+    assert message in capsys.readouterr().err
 
 
 def test_evaluate_unknown_split_exits_two(corpus, train_run, tmp_path, capsys):

@@ -200,6 +200,29 @@ def test_cross_section_problems_stop_train_before_any_output(inputs, tmp_path, c
     assert not (out / "config.json").exists() and not (out / "split.json").exists()
 
 
+HUGE = "1" + "0" * 400  # an integer past the float range
+
+
+def test_config_file_number_past_the_float_range_exits_two(inputs, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"train": {"lr_phase1": ' + HUGE + "}}")
+    code = main(["train", "--data", str(inputs / "corpus"), "--out", str(tmp_path / "r"),
+                 "--config", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "train.lr_phase1: number out of range" in err and "0" * 50 not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_flag_number_past_the_float_range_exits_two(inputs, tmp_path, capsys):
+    code = main(["detect", "--image", str(inputs / "blank.ppm"), "--cascade", FIXTURE_XML,
+                 "--out", str(tmp_path / "boxes.json"), "--detect.min_size", HUGE])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "detect.min_size: number out of range" in err and "0" * 50 not in err
+    assert not (tmp_path / "boxes.json").exists()
+
+
 FUZZ_VALUES = [None, True, False, -1, 0, 1.5, float("nan"), "x", "", [], [1, "a"], {}, {"k": 1}]
 
 

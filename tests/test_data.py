@@ -748,6 +748,18 @@ def test_batches_augmented_deterministic(tmp_path):
     assert epoch_bytes(0) != plain
 
 
+def test_augmented_batches_do_not_depend_on_root_spelling(tmp_path, monkeypatch):
+    synth_dataset(4, 16, 77, tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+
+    def epoch_bytes(root):
+        index = split_dataset(scan_dataset(root), seed=77)
+        return [x.data.tobytes() for x, _ in batches(
+            index, "train", 4, True, AugmentConfig(), SplitMix64(4), image_size=16, epoch=1)]
+
+    assert epoch_bytes("corpus") == epoch_bytes("./corpus") == epoch_bytes(tmp_path / "corpus")
+
+
 def test_batches_resizes_to_requested_size(tmp_path):
     index = small_corpus(tmp_path, size=24)
     for x, _ in batches(index, "val", 2, False, image_size=16):

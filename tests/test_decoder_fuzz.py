@@ -1,15 +1,37 @@
 """Seeded fuzzing of the file decoders: a mutated valid file must either
 load or raise a MaskDetectError, never any other exception."""
 
+import argparse
+import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maskdetect.cascade import load_cascade_json, load_cascade_xml, save_cascade_json
-from maskdetect.data import load_ppm, save_ppm
-from maskdetect.errors import MaskDetectError
+from maskdetect.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from maskdetect.cli import default_config, load_config
+from maskdetect.config import write_json
+from maskdetect.data import (
+    DatasetIndex,
+    Label,
+    Sample,
+    apply_split_manifest,
+    load_ppm,
+    load_split_manifest,
+    save_ppm,
+    save_split_manifest,
+    split_dataset,
+)
+from maskdetect.errors import (
+    CascadeFormatError,
+    CheckpointError,
+    ConfigError,
+    MaskDetectError,
+)
+from maskdetect.nn import BackboneConfig, HeadConfig, build_model
 from maskdetect.rng import SplitMix64
 
 FIXTURE_XML = Path(__file__).parent / "fixtures" / "face_cascade.xml"
@@ -75,3 +97,116 @@ def test_mutated_files_load_or_raise_a_named_error(tmp_path, decoder):
         except Exception as e:  # any other type is the defect under test
             pytest.fail(f"case {case}: {type(e).__name__}: {e}")
     assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0, outcomes
+
+
+# -- the JSON readers ---------------------------------------------------------------------
+
+_INDEX = split_dataset(DatasetIndex(samples=[
+    Sample(f"corpus/{label.name.lower()}/{k}.ppm", label) for label in Label for k in range(4)
+]), seed=0)
+_TINY_BACKBONE = BackboneConfig(input_size=16, width_mult=0.125, num_blocks=1,
+                                factorized_blocks=(), stem_channels=(8,), stem_strides=(2,))
+
+
+def _read_config(path):
+    return load_config(argparse.Namespace(config=str(path)))
+
+
+def _read_manifest(path):
+    return apply_split_manifest(_INDEX, path)
+
+
+def _write_checkpoint_file(path, header: bytes, payload: bytes) -> None:
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + payload)
+
+
+def _split_checkpoint(path) -> tuple[bytes, bytes]:
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    return raw[8:8 + hlen], raw[8 + hlen:]
+
+
+def _valid_document(reader: str, tmp_path: Path) -> bytes:
+    """The JSON document of a valid file for ``reader``: a config, a split
+    manifest, or the header of a checkpoint."""
+    path = tmp_path / f"valid.{reader}"
+    if reader == "config":
+        write_json(path, default_config().to_dict())
+    elif reader == "manifest":
+        save_split_manifest(_INDEX, path)
+    else:
+        save_checkpoint(build_model(_TINY_BACKBONE, HeadConfig(hidden_units=4, hidden_layers=1),
+                                    seed=0), path)
+        return _split_checkpoint(path)[0]
+    return path.read_bytes()
+
+
+JSON_READERS = {"config": _read_config, "manifest": _read_manifest,
+                "checkpoint": load_checkpoint}
+
+
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_mutated_json_documents_load_or_raise_a_named_error(tmp_path, reader):
+    good = _valid_document(reader, tmp_path)
+    payload = b""
+    if reader == "checkpoint":
+        payload = _split_checkpoint(tmp_path / "valid.checkpoint")[1]
+    rng = SplitMix64(7100 + sorted(JSON_READERS).index(reader))
+    path = tmp_path / f"case.{reader}"
+    outcomes = {"loaded": 0, "rejected": 0, "still JSON": 0}
+    for case in range(CASES):
+        document = _mutate(good, len(good), rng)
+        if reader == "checkpoint":  # the header is mutated, the framing stays valid
+            _write_checkpoint_file(path, document, payload)
+        else:
+            path.write_bytes(document)
+        try:
+            json.loads(document)
+            outcomes["still JSON"] += 1
+        except (ValueError, RecursionError):
+            pass
+        try:
+            JSON_READERS[reader](path)
+            outcomes["loaded"] += 1
+        except MaskDetectError:
+            outcomes["rejected"] += 1
+        except Exception as e:  # any other type is the defect under test
+            pytest.fail(f"case {case}: {type(e).__name__}: {e}")
+    # most mutations break the syntax; some must reach the checks behind the decoder
+    assert outcomes["rejected"] > 0 and outcomes["still JSON"] > 0, outcomes
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_LONG_INT = b"1" * 5000
+
+
+def _crafted(reader: str, tmp_path: Path, inner: bytes) -> Path:
+    """A file for ``reader`` whose JSON holds ``inner`` where a value belongs."""
+    path = tmp_path / f"crafted.{reader}"
+    if reader == "config":
+        path.write_bytes(b'{"train": {"epochs_phase1": ' + inner + b"}}")
+    elif reader == "manifest":
+        path.write_bytes(b'{"seed": ' + inner + b', "ratios": [], "splits": {}}')
+    elif reader == "cascade":
+        path.write_bytes(b'{"base_window": [' + inner + b', 24], "stages": []}')
+    else:
+        header = _valid_document("checkpoint", tmp_path)
+        _write_checkpoint_file(path, header.replace(b'"seed":0', b'"seed":' + inner), b"")
+    return path
+
+
+CRAFTED_READERS = {
+    "config": (_read_config, ConfigError, "invalid JSON"),
+    "manifest": (load_split_manifest, ConfigError, "split manifest is not valid JSON"),
+    "cascade": (load_cascade_json, CascadeFormatError, "not valid JSON"),
+    "checkpoint": (load_checkpoint, CheckpointError, "header is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("inner", [_DEEP, _LONG_INT], ids=["deep-array", "long-integer"])
+@pytest.mark.parametrize("reader", sorted(CRAFTED_READERS))
+def test_crafted_json_is_a_named_error(tmp_path, reader, inner):
+    load, error, message = CRAFTED_READERS[reader]
+    path = _crafted(reader, tmp_path, inner)
+    with pytest.raises(error, match=message):
+        load(path)
