@@ -324,7 +324,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     save_split_manifest(index, os.path.join(out_dir, "split.json"))
 
     result = sweep(index, config.backbone, config.train,
-                   backbone_checkpoint=args.init_backbone)
+                   backbone_checkpoint=args.init_backbone, head_config=config.head)
 
     write_sweep_csv(result, os.path.join(out_dir, "sweep.csv"))
     write_sweep_json(result, os.path.join(out_dir, "sweep.json"))

@@ -40,7 +40,6 @@ __all__ = [
     "resize_bilinear",
     "normalize",
     "rotate_image",
-    "zoom_image",
     "color_shift_image",
     "translate_image",
     "augment",
@@ -459,121 +458,92 @@ class AugmentConfig(Config):
         return cls(0.0, (1.0, 1.0), 0.0, 0.0)
 
 
-def rotate_image(image, angle_deg: float) -> np.ndarray:
-    """Rotate about the image center (bilinear, zero fill outside)."""
-    image = _check_image(image)
-    if angle_deg == 0.0:
-        return image.copy()
+def _warp(image: np.ndarray, angle_deg=0.0, zoom=1.0, offsets=None, shift=(0, 0)) -> np.ndarray:
+    """The one resampling behind every augmentation.
+
+    Output pixel ``p`` reads ``image`` at ``c + R(angle)·((p - shift - c) / zoom)``,
+    ``c`` being the image center: a rotation, then a zoom about the center,
+    then a whole-pixel shift.  The read is bilinear over a one-pixel zero
+    border, so coordinates outside the image read 0.  The float sample gets
+    the per-channel ``offsets`` wherever ``p - shift`` lies in the frame
+    (pixels the shift brings in stay 0), and is rounded half-up to 8 bits
+    once.
+    """
     h, w = image.shape[:2]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(angle_deg)
     cos_a, sin_a = math.cos(rad), math.sin(rad)
-    yy, xx = np.meshgrid(
-        np.arange(h, dtype=np.float64) - cy,
-        np.arange(w, dtype=np.float64) - cx,
-        indexing="ij",
-    )
-    # inverse mapping: where does each output pixel come from
-    sx = cx + cos_a * xx + sin_a * yy
+    ry = np.arange(h, dtype=np.float64) - shift[0]
+    rx = np.arange(w, dtype=np.float64) - shift[1]
+    yy = ((ry - cy) / zoom)[:, None]
+    xx = ((rx - cx) / zoom)[None, :]
     sy = cy - sin_a * xx + cos_a * yy
-    return _sample_bilinear_zero(image, sy, sx)
-
-
-def _sample_bilinear_zero(image: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
-    """Bilinear sample at float coords; anything outside the image reads 0.
-
-    Implemented by sampling a one-pixel zero border, so partially outside
-    coordinates blend toward zero instead of clamping to the edge.
-    """
-    h, w = image.shape[:2]
+    sx = cx + cos_a * xx + sin_a * yy
     padded = np.zeros((h + 2, w + 2, 3), dtype=np.float64)
     padded[1:-1, 1:-1] = image
     inside = (sy > -1.0) & (sy < h) & (sx > -1.0) & (sx < w)
     py = np.clip(sy + 1.0, 0.0, h)  # padded coords; neighbors stay in range
     px = np.clip(sx + 1.0, 0.0, w)
-    y0 = np.floor(py).astype(np.int64)
-    x0 = np.floor(px).astype(np.int64)
+    y0 = np.floor(py)
+    x0 = np.floor(px)
     wy = (py - y0)[..., None]
     wx = (px - x0)[..., None]
-    p00 = padded[y0, x0]
-    p01 = padded[y0, x0 + 1]
-    p10 = padded[y0 + 1, x0]
-    p11 = padded[y0 + 1, x0 + 1]
+    # the four neighbors as rows of the flattened border image
+    i00 = (y0 * (w + 2) + x0).astype(np.int64)
+    p00, p01, p10, p11 = (padded.reshape(-1, 3).take(i00 + k, axis=0)
+                          for k in (0, 1, w + 2, w + 3))
     out = (1 - wy) * ((1 - wx) * p00 + wx * p01) + wy * ((1 - wx) * p10 + wx * p11)
     out[~inside] = 0.0
+    if offsets is not None:
+        framed = ((ry >= 0) & (ry < h))[:, None] & ((rx >= 0) & (rx < w))[None, :]
+        out += framed[..., None] * offsets
     return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
 
 
-def zoom_image(image, factor: float) -> np.ndarray:
-    """Zoom by ``factor``: center-crop (>1) or zero-pad (<1), then resize back."""
-    image = _check_image(image)
-    if factor <= 0.0:
-        raise ParameterError(f"zoom factor must be positive, got {factor}")
-    if factor == 1.0:
-        return image.copy()
-    h, w = image.shape[:2]
-    th = max(1, int(round(h / factor)))
-    tw = max(1, int(round(w / factor)))
-    if th <= h and tw <= w:
-        oy, ox = (h - th) // 2, (w - tw) // 2
-        region = image[oy : oy + th, ox : ox + tw]
-    else:
-        region = np.zeros((th, tw, 3), dtype=np.uint8)
-        oy, ox = (th - h) // 2, (tw - w) // 2
-        region[oy : oy + h, ox : ox + w] = image
-    return resize_bilinear(region, w, h)
+def rotate_image(image, angle_deg: float) -> np.ndarray:
+    """Rotate about the image center (bilinear, zero fill outside)."""
+    return _warp(_check_image(image), angle_deg=angle_deg)
 
 
 def color_shift_image(image, offsets) -> np.ndarray:
     """Add a per-channel offset, rounding half-up and clamping to [0, 255]."""
-    image = _check_image(image)
     offsets = np.asarray(offsets, dtype=np.float64).reshape(3)
-    shifted = image.astype(np.float64) + offsets[None, None, :]
-    return np.clip(np.floor(shifted + 0.5), 0, 255).astype(np.uint8)
+    return _warp(_check_image(image), offsets=offsets)
 
 
 def translate_image(image, shift_y: int, shift_x: int) -> np.ndarray:
     """Shift by whole pixels with zero fill."""
-    image = _check_image(image)
-    h, w = image.shape[:2]
-    shift_y, shift_x = int(shift_y), int(shift_x)
-    out = np.zeros_like(image)
-    if abs(shift_y) >= h or abs(shift_x) >= w:
-        return out
-    src_y = slice(max(0, -shift_y), min(h, h - shift_y))
-    dst_y = slice(max(0, shift_y), min(h, h + shift_y))
-    src_x = slice(max(0, -shift_x), min(w, w - shift_x))
-    dst_x = slice(max(0, shift_x), min(w, w + shift_x))
-    out[dst_y, dst_x] = image[src_y, src_x]
-    return out
+    return _warp(_check_image(image), shift=(int(shift_y), int(shift_x)))
 
 
 def augment(image, config: AugmentConfig, rng: SplitMix64) -> np.ndarray:
-    """Apply the four transforms in fixed order rotate -> zoom -> color ->
-    translate, drawing each parameter uniformly from its configured range.
+    """Rotate, zoom about the center, shift the colors and translate, drawing
+    each parameter uniformly from its configured range in that order (angle,
+    zoom, three color offsets, then the row and column shift).
 
-    Disabled transforms draw nothing, so a config stays reproducible no
-    matter which magnitudes are zero.
+    The geometric transforms compose into one inverse map, which
+    :func:`_warp` samples once (bilinear, zero fill) and rounds once.  The
+    color offsets reach every pixel but those the translation brings in
+    from outside the frame, which stay 0.  Disabled transforms draw
+    nothing, so a config stays reproducible no matter which magnitudes are
+    zero.
     """
     image = _check_image(image)
     if rng is None:
         raise UsageError("augment requires a random generator")
-    out = image
+    angle, zoom, offsets, shift = 0.0, 1.0, None, (0, 0)
     if config.rotation_max_deg > 0.0:
         angle = rng.uniform(-config.rotation_max_deg, config.rotation_max_deg)
-        out = rotate_image(out, angle)
     lo, hi = config.zoom_range
     if (lo, hi) != (1.0, 1.0):
-        out = zoom_image(out, rng.uniform(lo, hi))
+        zoom = rng.uniform(lo, hi)
     if config.color_shift_max > 0.0:
         offsets = rng.uniform(-config.color_shift_max, config.color_shift_max, shape=3)
-        out = color_shift_image(out, offsets)
     if config.translate_max_fraction > 0.0:
         f = config.translate_max_fraction
-        dy = int(round(rng.uniform(-f, f) * image.shape[0]))
-        dx = int(round(rng.uniform(-f, f) * image.shape[1]))
-        out = translate_image(out, dy, dx)
-    return out.copy() if out is image else out
+        shift = (int(round(rng.uniform(-f, f) * image.shape[0])),
+                 int(round(rng.uniform(-f, f) * image.shape[1])))
+    return _warp(image, angle, zoom, offsets, shift)
 
 
 # ---------------------------------------------------------------------------

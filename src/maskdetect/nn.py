@@ -42,7 +42,7 @@ def _he_uniform(rng: SplitMix64, fan_in: int, shape: tuple) -> np.ndarray:
 @dataclass(frozen=True)
 class InceptionWidths(Config):
     """Output channels of each branch of one inception block (before the
-    width multiplier is applied)."""
+    width multiplier is applied), each in [1, 1024]."""
 
     b1x1: int = 32
     b3x3_reduce: int = 24
@@ -57,6 +57,9 @@ class InceptionWidths(Config):
         bad = {name: width for name, width in self.to_dict().items() if width < 1}
         if bad:
             raise ConfigError(f"every width must be >= 1, got {bad}")
+        big = {name: width for name, width in self.to_dict().items() if width > 1024}
+        if big:
+            raise ConfigError(f"every width must be <= 1024, got {big}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,11 @@ class BackboneConfig(Config):
     The stem is a chain of 3x3 conv+norm+relu units (first one stride 2);
     after it come ``num_blocks`` inception blocks.  Blocks listed in
     ``factorized_blocks`` (1-based) carry the extra 1x7/7x1 branch.
+
+    Sizes have upper bounds, so a config file, flag or checkpoint header
+    cannot ask for an unbounded model: ``input_size`` in [8, 1024],
+    ``width_mult`` in (0, 4], ``stem_channels`` in [1, 1024] each and
+    ``num_blocks`` in [1, 16].
     """
 
     input_size: int = 299
@@ -78,12 +86,12 @@ class BackboneConfig(Config):
     widths: InceptionWidths = field(default_factory=InceptionWidths)
 
     def validate(self) -> None:
-        if self.input_size < 8:
-            raise ConfigError(f"input_size must be >= 8, got {self.input_size}")
+        if not 8 <= self.input_size <= 1024:
+            raise ConfigError(f"input_size must be in [8, 1024], got {self.input_size}")
         if self.in_channels != 3:  # the images are RGB
             raise ConfigError(f"in_channels must be 3, got {self.in_channels}")
-        if self.width_mult <= 0:
-            raise ConfigError(f"width_mult must be positive, got {self.width_mult}")
+        if not 0 < self.width_mult <= 4:
+            raise ConfigError(f"width_mult must be in (0, 4], got {self.width_mult}")
         if len(self.stem_channels) != len(self.stem_strides) or not self.stem_channels:
             raise ConfigError(
                 f"stem_channels {self.stem_channels} and stem_strides {self.stem_strides} "
@@ -91,10 +99,12 @@ class BackboneConfig(Config):
             )
         if any(ch < 1 for ch in self.stem_channels):
             raise ConfigError(f"stem_channels must be >= 1, got {self.stem_channels}")
+        if any(ch > 1024 for ch in self.stem_channels):
+            raise ConfigError(f"stem_channels must be <= 1024, got {self.stem_channels}")
         if any(s < 1 for s in self.stem_strides):
             raise ConfigError(f"stem strides must be >= 1, got {self.stem_strides}")
-        if self.num_blocks < 1:
-            raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
+        if not 1 <= self.num_blocks <= 16:
+            raise ConfigError(f"num_blocks must be in [1, 16], got {self.num_blocks}")
         bad = [b for b in self.factorized_blocks if not 1 <= b <= self.num_blocks]
         if bad:
             raise ConfigError(
@@ -109,7 +119,8 @@ def desk_backbone() -> BackboneConfig:
 
 @dataclass(frozen=True)
 class HeadConfig(Config):
-    """Fully-connected classifier head on top of pooled features."""
+    """Fully-connected classifier head on top of pooled features:
+    ``hidden_layers`` in [0, 8] layers of ``hidden_units`` in [1, 4096]."""
 
     hidden_units: int = 128
     hidden_layers: int = 2
@@ -117,10 +128,12 @@ class HeadConfig(Config):
     num_classes: int = 3
 
     def validate(self) -> None:
-        if self.hidden_layers < 0:
-            raise ConfigError(f"hidden_layers must be >= 0, got {self.hidden_layers}")
+        if not 0 <= self.hidden_layers <= 8:
+            raise ConfigError(f"hidden_layers must be in [0, 8], got {self.hidden_layers}")
         if self.hidden_layers > 0 and self.hidden_units < 1:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
+        if self.hidden_units > 4096:
+            raise ConfigError(f"hidden_units must be <= 4096, got {self.hidden_units}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.num_classes != 3:  # the labels are the three face states

@@ -441,13 +441,15 @@ class SweepResult:
 
 
 def sweep(index: DatasetIndex, backbone_config: BackboneConfig,
-          base_config: TrainConfig, backbone_checkpoint=None) -> SweepResult:
+          base_config: TrainConfig, backbone_checkpoint=None,
+          head_config: HeadConfig = HeadConfig()) -> SweepResult:
     """Run the seven head configurations under identical data and seed.
 
-    Each run builds a fresh model (optionally adopting backbone weights
-    from ``backbone_checkpoint``), trains with the shared config, and is
-    scored by its final-epoch metrics.  The best row has the highest
-    validation accuracy; ties go to the smaller parameter count.
+    Each run builds a fresh model whose head is ``head_config`` with the
+    row's units and layers (optionally adopting backbone weights from
+    ``backbone_checkpoint``), trains with the shared config, and is scored
+    by its final-epoch metrics.  The best row has the highest validation
+    accuracy; ties go to the smaller parameter count.
     """
     base_config.validate()
     rows: list[SweepRow] = []
@@ -455,7 +457,7 @@ def sweep(index: DatasetIndex, backbone_config: BackboneConfig,
     for neurons, layers in SWEEP_HEADS:
         model = build_model(
             backbone_config,
-            HeadConfig(hidden_units=neurons, hidden_layers=layers),
+            replace(head_config, hidden_units=neurons, hidden_layers=layers),
             seed=base_config.seed,
         )
         if backbone_checkpoint is not None:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,25 @@ def test_bad_architecture_is_checkpoint_error(tmp_path):
         _rewrite_header(good, bad, mutate)
         with pytest.raises(CheckpointError, match=named):
             load_checkpoint(bad)
+
+
+def test_oversized_head_is_refused_before_any_model_is_built(tmp_path):
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(build_model(desk_backbone(), HeadConfig(), seed=0), good)
+
+    def million_units(header):
+        header["head"]["hidden_units"] = 1_000_000
+        return header
+
+    _rewrite_header(good, bad, million_units)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="hidden_units must be <= 4096"):
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * bad.stat().st_size  # the file is read; no model is built
 
 
 def test_load_checkpoint_reads_file_once(tmp_path, monkeypatch):

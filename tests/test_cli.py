@@ -492,6 +492,20 @@ def test_sweep_outputs(sweep_run):
         assert (sweep_run / "logs" / f"{neurons}x{layers}.csv").exists()
 
 
+def test_sweep_trains_with_the_config_dropout(corpus, tiny_config, tmp_path, monkeypatch):
+    class Stop(Exception):
+        pass
+
+    def capture(*args, head_config=None, **kwargs):
+        raise Stop(head_config)
+
+    monkeypatch.setattr("maskdetect.cli.sweep", capture)
+    with pytest.raises(Stop) as stop:
+        main(["sweep", "--data", str(corpus), "--out", str(tmp_path / "sweep"),
+              "--config", str(tiny_config), "--head.dropout_rate", "0.125"])
+    assert stop.value.args[0].dropout_rate == 0.125
+
+
 def test_sweep_marks_best_row(corpus, tiny_config, tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", "--data", str(corpus), "--out", str(out),

@@ -223,6 +223,15 @@ def test_flag_number_past_the_float_range_exits_two(inputs, tmp_path, capsys):
     assert not (tmp_path / "boxes.json").exists()
 
 
+def test_flag_model_size_past_its_bound_exits_two(inputs, tmp_path, capsys):
+    code = main(["train", "--data", str(inputs / "corpus"), "--out", str(tmp_path / "r"),
+                 "--backbone.input_size", "1" + "0" * 30])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config validation failed" in err and "backbone: input_size must be in [8, 1024]" in err
+    assert not (tmp_path / "r").exists()
+
+
 FUZZ_VALUES = [None, True, False, -1, 0, 1.5, float("nan"), "x", "", [], [1, "a"], {}, {"k": 1}]
 
 

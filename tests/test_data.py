@@ -28,7 +28,6 @@ from maskdetect.data import (
     split_dataset,
     synth_dataset,
     translate_image,
-    zoom_image,
 )
 from maskdetect.errors import (
     ConfigError,
@@ -71,6 +70,39 @@ def resize_bilinear_ref(image, out_w, out_h):
                     + wy * wx * float(image[y1, x1, c])
                 )
                 out[y, x, c] = min(255, max(0, int(math.floor(v + 0.5))))
+    return out
+
+
+def augment_ref(image, angle, zoom, offsets, dy, dx):
+    """Per-pixel float64 reference: sample the composed inverse map
+    ``c + R(angle)((p - d - c) / zoom)`` once, bilinearly over a one-pixel
+    zero border whose far side clamps the coordinate at the last row and
+    column, add the offsets where ``p - d`` is in the frame, round once."""
+    h, w = image.shape[:2]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    cos_a, sin_a = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+
+    def px(y, x, c):  # the image inside a one-pixel zero border
+        return float(image[y - 1, x - 1, c]) if 1 <= y <= h and 1 <= x <= w else 0.0
+
+    out = np.zeros((h, w, 3), dtype=np.uint8)
+    for y in range(h):
+        for x in range(w):
+            qy, qx = (y - dy - cy) / zoom, (x - dx - cx) / zoom
+            sy = cy - sin_a * qx + cos_a * qy
+            sx = cx + cos_a * qx + sin_a * qy
+            framed = 0 <= y - dy < h and 0 <= x - dx < w
+            for c in range(3):
+                value = 0.0
+                if -1.0 < sy < h and -1.0 < sx < w:
+                    py, pxx = min(max(sy + 1.0, 0.0), h), min(max(sx + 1.0, 0.0), w)
+                    y0, x0 = math.floor(py), math.floor(pxx)
+                    wy, wx = py - y0, pxx - x0
+                    value = (1 - wy) * ((1 - wx) * px(y0, x0, c) + wx * px(y0, x0 + 1, c)) \
+                        + wy * ((1 - wx) * px(y0 + 1, x0, c) + wx * px(y0 + 1, x0 + 1, c))
+                if framed:
+                    value += offsets[c]
+                out[y, x, c] = min(max(math.floor(value + 0.5), 0), 255)
     return out
 
 
@@ -319,34 +351,22 @@ def test_rotate_fills_corners_with_zero():
 
 
 def test_zoom_identity_factor():
+    # a (1, 1) zoom range is off: it draws nothing and leaves the image as is
     rng = SplitMix64(13)
     image = random_image(rng, 10, 10)
-    assert np.array_equal(zoom_image(image, 1.0), image)
-
-
-def test_zoom_in_on_constant_center():
-    # center 4x4 region is constant, so a 2x zoom must be constant everywhere
-    image = np.zeros((8, 8, 3), dtype=np.uint8)
-    image[2:6, 2:6] = 200
-    out = zoom_image(image, 2.0)
-    assert np.all(out == 200)
+    gen = SplitMix64(5)
+    out = augment(image, AugmentConfig(0.0, (1.0, 1.0), 0.0, 0.0), gen)
+    assert np.array_equal(out, image)
+    assert gen.next_u64() == SplitMix64(5).next_u64()
 
 
 def test_zoom_out_pads_border_with_zero():
     image = np.full((8, 8, 3), 250, dtype=np.uint8)
-    out = zoom_image(image, 0.5)
+    out = augment(image, AugmentConfig(0.0, (0.5, 0.5), 0.0, 0.0), SplitMix64(0))
     assert out.shape == (8, 8, 3)
     assert np.all(out[0, 0] == 0)
     assert np.all(out[-1, -1] == 0)
     assert out[4, 4, 0] > 200  # center still bright
-
-
-def test_zoom_validates_factor():
-    image = np.zeros((4, 4, 3), dtype=np.uint8)
-    with pytest.raises(ParameterError):
-        zoom_image(image, 0.0)
-    with pytest.raises(ParameterError):
-        zoom_image(image, -1.0)
 
 
 def test_color_shift_plus_ten_on_constant_hundred():
@@ -423,6 +443,64 @@ def test_augment_preserves_shape_and_range():
         out = augment(image, config, rng.derive("aug", k))
         assert out.shape == image.shape
         assert out.dtype == np.uint8  # uint8 => every pixel in [0, 255]
+
+
+def test_augment_matches_composed_reference():
+    rng = SplitMix64(18)
+    for k in range(12):
+        h, w = 6 + rng.randint(14), 6 + rng.randint(14)
+        image = random_image(rng, h, w)
+        config = AugmentConfig(
+            rotation_max_deg=rng.uniform(0.0, 45.0),
+            zoom_range=tuple(sorted((rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)))),
+            color_shift_max=rng.uniform(0.0, 60.0),
+            translate_max_fraction=rng.uniform(0.0, 0.3),
+        )
+        draws = SplitMix64(k)  # the draw order: angle, zoom, offsets, row and column shift
+        angle = draws.uniform(-config.rotation_max_deg, config.rotation_max_deg)
+        zoom = draws.uniform(*config.zoom_range)
+        offsets = draws.uniform(-config.color_shift_max, config.color_shift_max, shape=3)
+        f = config.translate_max_fraction
+        dy = int(round(draws.uniform(-f, f) * h))
+        dx = int(round(draws.uniform(-f, f) * w))
+        want = augment_ref(image, angle, zoom, offsets, dy, dx)
+        assert np.array_equal(augment(image, config, SplitMix64(k)), want)
+
+
+def test_augment_single_transform_matches_public_transform():
+    rng = SplitMix64(19)
+    for k in range(20):
+        image = random_image(rng, 8 + rng.randint(20), 8 + rng.randint(20))
+        h, w = image.shape[:2]
+        draws = SplitMix64(k)
+        angle = draws.uniform(-30.0, 30.0)
+        rotated = augment(image, AugmentConfig(30.0, (1.0, 1.0), 0.0, 0.0), SplitMix64(k))
+        assert np.array_equal(rotated, rotate_image(image, angle))
+        draws = SplitMix64(k)
+        offsets = draws.uniform(-40.0, 40.0, shape=3)
+        shifted = augment(image, AugmentConfig(0.0, (1.0, 1.0), 40.0, 0.0), SplitMix64(k))
+        assert np.array_equal(shifted, color_shift_image(image, offsets))
+        draws = SplitMix64(k)
+        dy = int(round(draws.uniform(-0.3, 0.3) * h))
+        dx = int(round(draws.uniform(-0.3, 0.3) * w))
+        moved = augment(image, AugmentConfig(0.0, (1.0, 1.0), 0.0, 0.3), SplitMix64(k))
+        assert np.array_equal(moved, translate_image(image, dy, dx))
+
+
+def test_augment_translated_in_pixels_stay_zero_under_color_shift():
+    image = np.full((20, 20, 3), 100, dtype=np.uint8)
+    config = AugmentConfig(0.0, (1.0, 1.0), 50.0, 0.3)
+    for k in range(20):
+        draws = SplitMix64(k)
+        offsets = draws.uniform(-50.0, 50.0, shape=3)
+        dy = int(round(draws.uniform(-0.3, 0.3) * 20))
+        dx = int(round(draws.uniform(-0.3, 0.3) * 20))
+        out = augment(image, config, SplitMix64(k))
+        framed = np.zeros((20, 20), dtype=bool)
+        framed[max(dy, 0) : 20 + min(dy, 0), max(dx, 0) : 20 + min(dx, 0)] = True
+        assert np.all(out[~framed] == 0)
+        want = np.clip(np.floor(100.0 + offsets + 0.5), 0, 255)
+        assert np.all(out[framed] == want)
 
 
 def test_augment_requires_generator():

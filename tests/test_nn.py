@@ -234,6 +234,26 @@ def test_config_validation_errors():
         HeadConfig(num_classes=1).validate()
 
 
+MODEL_SIZE_BOUNDS = [
+    (BackboneConfig, "input_size", 1024, 1025),
+    (BackboneConfig, "width_mult", 4.0, 4.01),
+    (BackboneConfig, "stem_channels", (1024, 32, 64), (32, 1025, 64)),
+    (InceptionWidths, "b1x1", 1024, 1025),
+    (InceptionWidths, "pool_proj", 1024, 1025),
+    (BackboneConfig, "num_blocks", 16, 17),
+    (HeadConfig, "hidden_units", 4096, 4097),
+    (HeadConfig, "hidden_layers", 8, 9),
+]
+
+
+@pytest.mark.parametrize("cls, key, largest, too_large", MODEL_SIZE_BOUNDS,
+                         ids=[key for _, key, _, _ in MODEL_SIZE_BOUNDS])
+def test_model_sizes_have_upper_bounds(cls, key, largest, too_large):
+    cls(**{key: largest}).validate()
+    with pytest.raises(ConfigError, match=key):
+        cls(**{key: too_large}).validate()
+
+
 def test_config_dict_roundtrip():
     bc = desk_backbone()
     rt = BackboneConfig.from_dict(bc.to_dict())

@@ -538,6 +538,25 @@ def test_sweep_rows_and_selection(tmp_path):
     assert result.best_row.val_acc == max(r.val_acc for r in result.rows)
 
 
+def test_sweep_keeps_head_config_but_units_and_layers(tmp_path, monkeypatch):
+    built = []
+
+    def recording_build(backbone, head, seed):
+        built.append(head)
+        return build_model(backbone, head, seed)
+
+    def one_epoch(model, index, config):
+        return training.TrainResult(model, [EpochLog(1, 1, 0.5, 0.5, 0.5, 0.5, 0.0)],
+                                    {}, 0.5, 1)
+
+    monkeypatch.setattr(training, "build_model", recording_build)
+    monkeypatch.setattr(training, "two_phase_train", one_epoch)
+    sweep(small_corpus(tmp_path, n=2), tiny_backbone(), quick_config(),
+          head_config=HeadConfig(hidden_units=999, hidden_layers=9, dropout_rate=0.25))
+    assert built == [HeadConfig(neurons, layers, dropout_rate=0.25)
+                     for neurons, layers in SWEEP_HEADS]
+
+
 def test_select_best_tie_breaks():
     def row(val_acc, num_params):
         return SweepRow(32, 1, 0.9, val_acc, 0.1, 0.1, 32, 2, num_params)
