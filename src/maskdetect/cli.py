@@ -43,6 +43,7 @@ from .config import Config, parse_text, read_json, scalar_leaves, write_json
 from .data import (
     LABEL_NAMES,
     SPLIT_NAMES,
+    _require_split,
     apply_split_manifest,
     batches,
     check_split_ratios,
@@ -205,6 +206,7 @@ def _split_index(data_root, config, split_manifest=None):
 
 
 def _eval_split(model, index, split, batch_size):
+    _require_split(index, split, "evaluation")
     stream = batches(
         index,
         split,
@@ -275,6 +277,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     index = _split_index(args.data, config, args.split_manifest)
     save_split_manifest(index, os.path.join(out_dir, "split.json"))
+    _require_split(index, "test", "the final evaluation")  # refused before any epoch
 
     model = build_model(config.backbone, config.head, seed=train_config.seed)
     if args.init_backbone is not None:

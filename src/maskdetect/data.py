@@ -128,6 +128,15 @@ class DatasetIndex:
         return {name: self.class_counts(name) for name in SPLIT_NAMES}
 
 
+def _require_split(index: DatasetIndex, split: str, needed_by: str) -> None:
+    """Raise :class:`InputError`, naming ``split``, when it has no samples."""
+    if not index.samples_for(split):
+        raise InputError(
+            f"the '{split}' split has 0 of the {len(index)} samples, and {needed_by} "
+            "needs at least one; use more images per class or other split ratios"
+        )
+
+
 # ---------------------------------------------------------------------------
 # scanning and splitting
 # ---------------------------------------------------------------------------
@@ -184,7 +193,7 @@ def check_split_ratios(ratios) -> tuple[float, float, float]:
     """``ratios`` as floats; raises :class:`ConfigError` unless they are
     three non-negative numbers that sum to 1 (within 1e-9)."""
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):  # a NaN fails r >= 0
         raise ConfigError(f"ratios must be three non-negative numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
@@ -234,6 +243,17 @@ def split_dataset(
     return out
 
 
+@dataclass(frozen=True)
+class _SplitOrigin(Config):
+    """A split manifest's ``seed`` and ``ratios``, checked by the config codec."""
+
+    seed: int
+    ratios: tuple[float, float, float]
+
+    def validate(self) -> None:
+        check_split_ratios(self.ratios)
+
+
 def save_split_manifest(index: DatasetIndex, path: str) -> None:
     """Persist a split assignment as JSON {seed, ratios, splits}."""
     if index.ratios is None:
@@ -256,8 +276,10 @@ def load_split_manifest(path: str) -> dict:
             raise ConfigError(f"split manifest missing key '{key}': {path}")
     if not isinstance(manifest["splits"], dict):
         raise ConfigError(f"split manifest 'splits' must be an object: {path}")
-    if not isinstance(manifest["ratios"], list):
-        raise ConfigError(f"split manifest 'ratios' must be a list: {path}")
+    try:
+        _SplitOrigin.from_dict({"seed": manifest["seed"], "ratios": manifest["ratios"]})
+    except ConfigError as exc:
+        raise ConfigError(f"split manifest {path}: {exc}") from None
     return manifest
 
 
@@ -378,19 +400,37 @@ def save_ppm(image, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _axis_coords(out_size: int, in_size: int):
-    """Half-pixel-center source coordinates, edge-clamped; returns the two
-    neighbor index arrays and the fractional weight of the second one."""
-    scale = in_size / out_size
-    src = (np.arange(out_size, dtype=np.float64) + 0.5) * scale - 0.5
-    src = np.clip(src, 0.0, in_size - 1.0)
-    i0 = np.floor(src).astype(np.int64)
-    i1 = np.minimum(i0 + 1, in_size - 1)
-    return i0, i1, src - i0
+def _bilinear(image: np.ndarray, sy, sx) -> np.ndarray:
+    """Sample ``image`` at the float source coordinates ``(sy, sx)``, which
+    broadcast to the output grid, as float64 ``(..., 3)``: bilinear over a
+    one-pixel zero border, so a coordinate in ``(-1, size)`` fades toward 0
+    within a pixel of either edge, and one outside that range reads 0."""
+    h, w = image.shape[:2]
+    planes = np.zeros((3, h + 2, w + 2))  # channel planes inside a zero border
+    planes[:, 1:-1, 1:-1] = image.transpose(2, 0, 1)
+    y0, x0 = np.floor(sy), np.floor(sx)
+    wy, wx = sy - y0, sx - x0
+    # the top-left neighbour's offset in a flattened plane; the clip only
+    # keeps outside points in range, and they are zeroed below
+    i00 = (np.clip(y0, -1, h - 1) * (w + 2) + np.clip(x0, -1, w - 1)).astype(np.int64)
+    p00, p01, p10, p11 = (planes.reshape(3, -1).take(i00 + k, axis=1)
+                          for k in (w + 3, w + 4, 2 * w + 5, 2 * w + 6))
+    for near, far, weight in ((p00, p01, wx), (p10, p11, wx), (p00, p10, wy)):
+        near *= 1.0 - weight  # in place: near = (1 - weight)·near + weight·far
+        far *= weight
+        near += far
+    p00[:, (sy <= -1) | (sy >= h) | (sx <= -1) | (sx >= w)] = 0.0
+    return p00.transpose(1, 2, 0)
+
+
+def _to_u8(values: np.ndarray) -> np.ndarray:
+    """Round half-up and clamp to [0, 255]: the package's one rounding rule."""
+    return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
 
 def resize_bilinear(image, out_w: int, out_h: int) -> np.ndarray:
-    """Bilinear resize with half-pixel-center mapping src=(dst+0.5)*scale-0.5.
+    """Bilinear resize with half-pixel-center mapping src=(dst+0.5)*scale-0.5,
+    the source coordinates clamped to the image so edges repeat.
 
     Channels are interpolated independently; results are rounded half-up to
     8 bits.  Resizing to the input size reproduces the input exactly.
@@ -399,13 +439,9 @@ def resize_bilinear(image, out_w: int, out_h: int) -> np.ndarray:
     if out_w < 1 or out_h < 1:
         raise ParameterError(f"output size must be >= 1, got {out_w}x{out_h}")
     in_h, in_w = image.shape[:2]
-    y0, y1, wy = _axis_coords(out_h, in_h)
-    x0, x1, wx = _axis_coords(out_w, in_w)
-    img = image.astype(np.float64)
-    top = img[y0][:, x0] * (1.0 - wx)[None, :, None] + img[y0][:, x1] * wx[None, :, None]
-    bot = img[y1][:, x0] * (1.0 - wx)[None, :, None] + img[y1][:, x1] * wx[None, :, None]
-    out = top * (1.0 - wy)[:, None, None] + bot * wy[:, None, None]
-    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    sy = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
+    sx = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    return _to_u8(_bilinear(image, sy[:, None], sx[None, :]))
 
 
 def normalize(image) -> Tensor:
@@ -463,8 +499,8 @@ def _warp(image: np.ndarray, angle_deg=0.0, zoom=1.0, offsets=None, shift=(0, 0)
 
     Output pixel ``p`` reads ``image`` at ``c + R(angle)·((p - shift - c) / zoom)``,
     ``c`` being the image center: a rotation, then a zoom about the center,
-    then a whole-pixel shift.  The read is bilinear over a one-pixel zero
-    border, so coordinates outside the image read 0.  The float sample gets
+    then a whole-pixel shift.  The read is :func:`_bilinear`, so every edge,
+    near or far, fades toward the zero border.  The float sample gets
     the per-channel ``offsets`` wherever ``p - shift`` lies in the frame
     (pixels the shift brings in stay 0), and is rounded half-up to 8 bits
     once.
@@ -479,25 +515,11 @@ def _warp(image: np.ndarray, angle_deg=0.0, zoom=1.0, offsets=None, shift=(0, 0)
     xx = ((rx - cx) / zoom)[None, :]
     sy = cy - sin_a * xx + cos_a * yy
     sx = cx + cos_a * xx + sin_a * yy
-    padded = np.zeros((h + 2, w + 2, 3), dtype=np.float64)
-    padded[1:-1, 1:-1] = image
-    inside = (sy > -1.0) & (sy < h) & (sx > -1.0) & (sx < w)
-    py = np.clip(sy + 1.0, 0.0, h)  # padded coords; neighbors stay in range
-    px = np.clip(sx + 1.0, 0.0, w)
-    y0 = np.floor(py)
-    x0 = np.floor(px)
-    wy = (py - y0)[..., None]
-    wx = (px - x0)[..., None]
-    # the four neighbors as rows of the flattened border image
-    i00 = (y0 * (w + 2) + x0).astype(np.int64)
-    p00, p01, p10, p11 = (padded.reshape(-1, 3).take(i00 + k, axis=0)
-                          for k in (0, 1, w + 2, w + 3))
-    out = (1 - wy) * ((1 - wx) * p00 + wx * p01) + wy * ((1 - wx) * p10 + wx * p11)
-    out[~inside] = 0.0
+    out = _bilinear(image, sy, sx)
     if offsets is not None:
         framed = ((ry >= 0) & (ry < h))[:, None] & ((rx >= 0) & (rx < w))[None, :]
         out += framed[..., None] * offsets
-    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    return _to_u8(out)
 
 
 def rotate_image(image, angle_deg: float) -> np.ndarray:
@@ -672,17 +694,19 @@ def _synth_image(size: int, label: Label, rng: SplitMix64) -> np.ndarray:
         canvas[band] = band_color[None, :]
 
     canvas += rng.uniform(-6.0, 6.0, shape=(size, size, 3))
-    return np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8)
+    return _to_u8(canvas)
 
 
 def synth_dataset(n_per_class: int, image_size: int, seed: int, out_dir) -> DatasetIndex:
     """Write a three-class synthetic corpus in the native layout and return
     its (unsplit) index.  The corpus is a pure function of the arguments:
-    the same seed always produces bit-identical files."""
-    if n_per_class < 1:
-        raise ParameterError(f"n_per_class must be >= 1, got {n_per_class}")
-    if image_size < 16:
-        raise ParameterError(f"image_size must be >= 16, got {image_size}")
+    the same seed always produces bit-identical files.  ``n_per_class`` is
+    capped at 100,000 and ``image_size`` at 1024 (the network input's cap),
+    both checked before anything is written."""
+    if not 1 <= n_per_class <= 100_000:
+        raise ParameterError(f"n_per_class must be in [1, 100000], got {n_per_class}")
+    if not 16 <= image_size <= 1024:
+        raise ParameterError(f"image_size must be in [16, 1024], got {image_size}")
     out_dir = os.fspath(out_dir)
     root_rng = SplitMix64(seed)
     for label in Label:

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_into
 from .config import Config, write_json
-from .data import AugmentConfig, DatasetIndex, batch_order, batches
+from .data import AugmentConfig, DatasetIndex, _require_split, batch_order, batches
 from .errors import ConfigError, NonFiniteError, UsageError
 from .metrics import ClassReport, ConfusionMatrix, classification_report, confusion
 from .nn import BackboneConfig, HeadConfig, Model, build_model
@@ -347,7 +347,8 @@ def two_phase_train(model: Model, index: DatasetIndex, config: TrainConfig,
     checkpoint) — that is what phase 1's freezing preserves.  Returns the
     final model, per-epoch logs tagged by phase, and a snapshot of the
     best-validation-accuracy state.  ``on_epoch`` gets each epoch's log as
-    soon as it is appended.
+    soon as it is appended.  When any epoch will run, an empty train or
+    val split is refused before the first one starts.
     """
     config.validate()
     num_blocks = model.backbone_config.num_blocks
@@ -356,6 +357,9 @@ def two_phase_train(model: Model, index: DatasetIndex, config: TrainConfig,
             f"unfreeze_last_k={config.unfreeze_last_k} exceeds the "
             f"{num_blocks} backbone blocks"
         )
+    if config.total_epochs:  # a zero-epoch run reads neither split
+        for split in ("train", "val"):
+            _require_split(index, split, "training")
     rng = SplitMix64(config.seed)
     dropout_rng = rng.derive("dropout")
     logs: list[EpochLog] = []

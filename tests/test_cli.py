@@ -177,6 +177,58 @@ def test_synth_then_scan_roundtrip(tmp_path):
     assert json.loads(manifest.read_text())["total"] == 9
 
 
+def test_synth_past_its_caps_exits_two_before_any_output(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--n", "1", "--size", "1000000", "--out", str(out)]) == 2
+    assert main(["synth", "--n", "1000000", "--size", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "image_size must be" in err and "n_per_class must be" in err
+    assert not out.exists()
+
+
+# -- empty splits -----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def four_per_class(tmp_path_factory):
+    """12 images: at the default ratios the val and test splits are empty."""
+    root = tmp_path_factory.mktemp("four")
+    synth_dataset(4, 32, seed=1, out_dir=root)
+    return root
+
+
+def test_train_refuses_an_empty_test_split_before_training(four_per_class, tiny_config,
+                                                           tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(four_per_class), "--out", str(out),
+                 "--config", str(tiny_config)])
+    assert code == 2
+    assert "'test' split has 0 of the 12 samples" in capsys.readouterr().err
+    assert not (out / "logs.csv").exists() and not (out / "final.ckpt").exists()
+
+
+def test_train_refuses_an_empty_val_split_unless_no_epoch_runs(four_per_class, tmp_path,
+                                                               capsys):
+    config = json.loads(json.dumps(TINY_CONFIG))
+    config["data"] = {"ratios": [0.75, 0.0, 0.25]}  # 3 train, 0 val, 1 test per class
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    argv = ["train", "--data", str(four_per_class), "--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    assert "'val' split has 0 of the 12 samples" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "logs.csv").exists()
+    assert main(argv + ["--out", str(tmp_path / "b"), "--train.epochs_phase1", "0",
+                        "--train.epochs_phase2", "0"]) == 0
+
+
+def test_evaluate_names_an_empty_split(four_per_class, train_run, tmp_path, capsys):
+    code = main(["evaluate", "--data", str(four_per_class),
+                 "--checkpoint", str(train_run / "best.ckpt"),
+                 "--out", str(tmp_path / "e"), "--split", "val"])
+    assert code == 2
+    assert "'val' split has 0 of the 12 samples" in capsys.readouterr().err
+
+
 # -- config merge and overrides -------------------------------------------------------
 
 

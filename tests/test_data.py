@@ -1,6 +1,7 @@
 """Tests for dataset scanning/splitting, the PPM codec, resize/normalize,
 augmentation, batching, and the synthetic corpus generator."""
 
+import json
 import math
 import os
 
@@ -76,14 +77,14 @@ def resize_bilinear_ref(image, out_w, out_h):
 def augment_ref(image, angle, zoom, offsets, dy, dx):
     """Per-pixel float64 reference: sample the composed inverse map
     ``c + R(angle)((p - d - c) / zoom)`` once, bilinearly over a one-pixel
-    zero border whose far side clamps the coordinate at the last row and
-    column, add the offsets where ``p - d`` is in the frame, round once."""
+    zero border on every side, add the offsets where ``p - d`` is in the
+    frame, round once."""
     h, w = image.shape[:2]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     cos_a, sin_a = math.cos(math.radians(angle)), math.sin(math.radians(angle))
 
-    def px(y, x, c):  # the image inside a one-pixel zero border
-        return float(image[y - 1, x - 1, c]) if 1 <= y <= h and 1 <= x <= w else 0.0
+    def px(y, x, c):  # the image, 0 outside it
+        return float(image[y, x, c]) if 0 <= y < h and 0 <= x < w else 0.0
 
     out = np.zeros((h, w, 3), dtype=np.uint8)
     for y in range(h):
@@ -95,9 +96,8 @@ def augment_ref(image, angle, zoom, offsets, dy, dx):
             for c in range(3):
                 value = 0.0
                 if -1.0 < sy < h and -1.0 < sx < w:
-                    py, pxx = min(max(sy + 1.0, 0.0), h), min(max(sx + 1.0, 0.0), w)
-                    y0, x0 = math.floor(py), math.floor(pxx)
-                    wy, wx = py - y0, pxx - x0
+                    y0, x0 = math.floor(sy), math.floor(sx)
+                    wy, wx = sy - y0, sx - x0
                     value = (1 - wy) * ((1 - wx) * px(y0, x0, c) + wx * px(y0, x0 + 1, c)) \
                         + wy * ((1 - wx) * px(y0 + 1, x0, c) + wx * px(y0 + 1, x0 + 1, c))
                 if framed:
@@ -348,6 +348,23 @@ def test_rotate_fills_corners_with_zero():
     assert np.all(out[0, -1] == 0)
     assert np.all(out[-1, 0] == 0)
     assert np.all(out[-1, -1] == 0)
+
+
+def test_rotate_constant_image_is_symmetric_under_half_turn():
+    # far edges fade toward the zero border exactly as near edges do
+    image = np.full((16, 16, 3), 200, dtype=np.uint8)
+    out = rotate_image(image, 10.0)
+    assert np.array_equal(out, out[::-1, ::-1])
+
+
+def test_zoom_out_fades_far_edge_like_near_edge():
+    # at zoom 0.9 the 16-px image's edge rows and columns read coordinates
+    # -0.83 and 15.83: both blend 17 % of a pixel with the zero border
+    image = np.full((16, 16, 3), 200, dtype=np.uint8)
+    out = augment(image, AugmentConfig(0.0, (0.9, 0.9), 0.0, 0.0), SplitMix64(0))
+    edge = out[8, 0, 0]
+    assert 0 < edge < 200
+    assert out[8, -1, 0] == edge and out[0, 8, 0] == edge and out[-1, 8, 0] == edge
 
 
 def test_zoom_identity_factor():
@@ -690,6 +707,8 @@ def test_split_validates_ratios():
         split_dataset(base, ratios=(0.5, 0.25, 0.30))
     with pytest.raises(ConfigError):
         split_dataset(base, ratios=(1.2, -0.1, -0.1))
+    with pytest.raises(ConfigError):
+        split_dataset(base, ratios=(math.nan, 0.5, 0.5))
 
 
 def test_split_manifest_roundtrip(tmp_path):
@@ -733,6 +752,27 @@ def test_split_manifest_malformed_file_is_a_config_error(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ConfigError):
         load_split_manifest(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "banana"),
+    ("seed", True),
+    ("seed", 1.5),
+    ("ratios", ["x", None]),
+    ("ratios", [True, 0, 0]),
+    ("ratios", [0.5, 0.5]),
+    ("ratios", [0.5, 0.5, 0.5]),
+    ("ratios", [-0.5, 0.75, 0.75]),
+    ("ratios", [10**400, 0, 0]),
+])
+def test_split_manifest_seed_and_ratios_are_checked(tmp_path, key, value):
+    manifest = {"seed": 1, "ratios": [0.7, 0.15, 0.15], "splits": {}}
+    manifest[key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError) as caught:
+        load_split_manifest(path)
+    assert key in str(caught.value) and str(path) in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
@@ -907,3 +947,13 @@ def test_synth_validates_arguments(tmp_path):
         synth_dataset(0, 24, 0, tmp_path)
     with pytest.raises(ParameterError):
         synth_dataset(2, 8, 0, tmp_path)
+
+
+@pytest.mark.parametrize("n, size, named", [(1, 1025, "image_size"), (100_001, 16, "n_per_class")])
+def test_synth_caps_are_checked_before_any_output(tmp_path, n, size, named):
+    # a file where the corpus folder would go: a cap checked after the
+    # first directory is made fails on it with an OSError instead
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(ParameterError, match=named):
+        synth_dataset(n, size, 0, blocker / "corpus")

@@ -9,7 +9,9 @@ from maskdetect import data as data_module
 from maskdetect import training
 from maskdetect.checkpoint import load_into, save_checkpoint
 from maskdetect.data import AugmentConfig, batches, split_dataset, synth_dataset
-from maskdetect.errors import CheckpointError, ConfigError, NonFiniteError, UsageError
+from maskdetect.errors import (
+    CheckpointError, ConfigError, InputError, NonFiniteError, UsageError,
+)
 from maskdetect.nn import BackboneConfig, HeadConfig, build_model
 from maskdetect.rng import SplitMix64
 from maskdetect.tensor import Parameter, Tensor
@@ -267,6 +269,20 @@ def quick_config(**overrides):
                 batch_size=8, seed=4, augment=None)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+@pytest.mark.parametrize("ratios, empty", [((0.7, 0.15, 0.15), "val"), ((0.0, 0.5, 0.5), "train")])
+def test_two_phase_train_refuses_an_empty_split_before_any_epoch(tmp_path, ratios, empty):
+    index = split_dataset(synth_dataset(4, 32, 0, tmp_path / "corpus"), ratios, seed=0)
+    model = build_model(tiny_backbone(), HeadConfig(16, 1), seed=4)
+    seen = []
+    with pytest.raises(InputError, match=f"'{empty}' split has 0 of the 12 samples"):
+        two_phase_train(model, index, quick_config(epochs_phase1=0), on_epoch=seen.append)
+    assert seen == []
+    with pytest.raises(InputError, match=f"'{empty}' split"):
+        sweep(index, tiny_backbone(), quick_config())
+    # with no epoch to run, nothing reads either split
+    assert two_phase_train(model, index, quick_config(epochs_phase1=0, epochs_phase2=0)).logs == []
 
 
 def test_two_phase_freeze_audits(tmp_path):
