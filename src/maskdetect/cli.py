@@ -69,6 +69,8 @@ from .tensor import Tensor
 from .training import (
     EpochLog,
     TrainConfig,
+    _require_sweep_epochs,
+    _require_training_splits,
     evaluate,
     restore_state,
     sweep,
@@ -205,8 +207,22 @@ def _split_index(data_root, config, split_manifest=None):
     return split
 
 
+def _run_inputs(args, config, *needed):
+    """Split ``--data``, refuse an empty split in ``needed`` ((split,
+    needed_by) pairs) or one that training reads, and read
+    ``--init-backbone`` into a fresh model: the checks a training run makes
+    before ``--out`` is created."""
+    index = _split_index(args.data, config, args.split_manifest)
+    for split, needed_by in needed:
+        _require_split(index, split, needed_by)
+    _require_training_splits(index, config.train)
+    model = build_model(config.backbone, config.head, seed=config.train.seed)
+    if args.init_backbone is not None:
+        load_into(model, args.init_backbone, prefix="backbone.")
+    return index, model
+
+
 def _eval_split(model, index, split, batch_size):
-    _require_split(index, split, "evaluation")
     stream = batches(
         index,
         split,
@@ -272,17 +288,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args)
     train_config = config.train
+    index, model = _run_inputs(args, config, ("test", "the final evaluation"))
+    if args.init_backbone is not None:
+        print(f"loaded backbone weights from {args.init_backbone}")
     out_dir = _prepare_out_dir(args.out)
     write_json(os.path.join(out_dir, "config.json"), config.to_dict())
-
-    index = _split_index(args.data, config, args.split_manifest)
     save_split_manifest(index, os.path.join(out_dir, "split.json"))
-    _require_split(index, "test", "the final evaluation")  # refused before any epoch
-
-    model = build_model(config.backbone, config.head, seed=train_config.seed)
-    if args.init_backbone is not None:
-        load_into(model, args.init_backbone, prefix="backbone.")
-        print(f"loaded backbone weights from {args.init_backbone}")
 
     def report_epoch(log: EpochLog) -> None:
         print(
@@ -320,10 +331,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args)
+    _require_sweep_epochs(config.train)
+    index, _ = _run_inputs(args, config)  # the model only proves --init-backbone fits
     out_dir = _prepare_out_dir(args.out)
     write_json(os.path.join(out_dir, "config.json"), config.to_dict())
-
-    index = _split_index(args.data, config, args.split_manifest)
     save_split_manifest(index, os.path.join(out_dir, "split.json"))
 
     result = sweep(index, config.backbone, config.train,
@@ -356,11 +367,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"unknown split '{args.split}'; expected one of {list(SPLIT_NAMES)}"
         )
-    out_dir = _prepare_out_dir(args.out)
-    write_json(os.path.join(out_dir, "config.json"), config.to_dict())
-
     model = load_checkpoint(args.checkpoint)
     index = _split_index(args.data, config, args.split_manifest)
+    _require_split(index, args.split, "evaluation")
+    out_dir = _prepare_out_dir(args.out)
+    write_json(os.path.join(out_dir, "config.json"), config.to_dict())
     result = _eval_split(model, index, args.split, config.train.batch_size)
     _write_eval_outputs(
         out_dir, result, extra={"split": args.split, "checkpoint": args.checkpoint}

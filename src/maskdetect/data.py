@@ -11,7 +11,11 @@ an augmented epoch, or a synthetic dataset is a pure function of its seed.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import reprlib
+import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -191,10 +195,15 @@ def scan_dataset(roots, layout="native") -> DatasetIndex:
 
 def check_split_ratios(ratios) -> tuple[float, float, float]:
     """``ratios`` as floats; raises :class:`ConfigError` unless they are
-    three non-negative numbers that sum to 1 (within 1e-9)."""
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or not all(r >= 0 for r in ratios):  # a NaN fails r >= 0
-        raise ConfigError(f"ratios must be three non-negative numbers, got {ratios}")
+    three real numbers, not bools, from 0 to the largest float, that sum
+    to 1 (within 1e-9)."""
+    values = tuple(ratios) if isinstance(ratios, Iterable) else ()
+    if len(values) != 3 or not all(
+        isinstance(r, numbers.Real) and not isinstance(r, bool) and 0 <= r <= sys.float_info.max
+        for r in values
+    ):  # a NaN fails the range test
+        raise ConfigError(f"ratios must be three non-negative real numbers, got {reprlib.repr(ratios)}")
+    ratios = tuple(float(r) for r in values)
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
     return ratios

@@ -25,8 +25,8 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 
 GradFn = Callable[[np.ndarray], np.ndarray]
 
-# Output bytes per block of planes in avg pooling: the partial sums of a
-# block stay in cache, and their memory stays small beside the output.
+# Output bytes per block of planes in avg pooling: a block's running sum
+# stays in cache while the k*k window slices are added into it.
 _POOL_BLOCK_BYTES = 1 << 17
 
 
@@ -244,43 +244,6 @@ def _fold(dcol: np.ndarray, x: Tensor, stride: int, ph: int, pw: int) -> np.ndar
     return dxp[:, :, ph : ph + h, pw : pw + w]
 
 
-def _pairwise(parts: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of ``parts`` in numpy's pairwise summation order.
-
-    numpy's ``add.reduce`` sums a contiguous run of n values one by one
-    when n < 8; up to 128 it keeps eight running sums, combines them as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the rest one by one;
-    above that it adds the sums of two halves split at a multiple of 8.
-    Adding the parts in that order gives the bits of that reduction over
-    a new last axis, before it adds the sum to its start value +0.0.  Only
-    which NaN pattern a NaN carries may differ; numpy's own loops do not
-    fix that either.  ``parts`` are only read.
-    """
-    n = len(parts)
-    if n < 8:
-        total = parts[0].copy()
-        for p in parts[1:]:
-            total += p
-        return total
-    if n <= 128:
-        tail = n - n % 8
-        r = list(parts[:8])
-        for i in range(8, tail, 8):
-            r = [acc + p for acc, p in zip(r, parts[i : i + 8])]
-        total = r[0] + r[1]
-        total += r[2] + r[3]
-        right = r[4] + r[5]
-        right += r[6] + r[7]
-        total += right
-        for p in parts[tail:]:
-            total += p
-        return total
-    half = n // 2 - n // 2 % 8
-    total = _pairwise(parts[:half])
-    total += _pairwise(parts[half:])
-    return total
-
-
 # -- convolution ----------------------------------------------------------------
 
 
@@ -389,10 +352,11 @@ def pool2d(x: Tensor, kind: str, k: int, stride: int, padding: int = 0) -> Tenso
 def _window_mean(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
     """Mean of every k x k window of [N,C,H,W] ``xp``, as [N,C,OH,OW].
 
-    Bit for bit ``mean(axis=-1, dtype=xp.dtype)`` over the windows laid out
-    on a last axis of k*k (see :func:`_pairwise`), but summed from the k*k
-    shifted, strided slices of ``xp``, so no window copy is made.  Planes
-    go in blocks of about ``_POOL_BLOCK_BYTES`` of output.
+    Planes go in blocks of about ``_POOL_BLOCK_BYTES`` of output.  Each
+    block sums in place in its slice of the output: the window's first
+    shifted, strided slice of ``xp`` is copied in, the other k*k - 1 are
+    added in row-major window order, and the sum is divided by k*k once.
+    No window copy is made.
     """
     n, c, hp, wp = xp.shape
     planes = xp.reshape(n * c, hp, wp)
@@ -400,13 +364,12 @@ def _window_mean(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.nd
     step = max(1, _POOL_BLOCK_BYTES // (oh * ow * xp.itemsize))
     span_h, span_w = stride * (oh - 1) + 1, stride * (ow - 1) + 1
     for lo in range(0, n * c, step):
-        block = planes[lo : lo + step]
-        total = _pairwise(
-            [block[:, i : i + span_h : stride, j : j + span_w : stride]
-             for i in range(k) for j in range(k)]
-        )
-        total += 0.0  # the reduction's start value: a window of -0.0 sums to +0.0
-        np.divide(total, k * k, out=out[lo : lo + step])
+        block, total = planes[lo : lo + step], out[lo : lo + step]
+        total[...] = block[:, :span_h:stride, :span_w:stride]
+        for t in range(1, k * k):
+            i, j = divmod(t, k)
+            total += block[:, i : i + span_h : stride, j : j + span_w : stride]
+        total /= k * k
     return out.reshape(n, c, oh, ow)
 
 

@@ -338,6 +338,20 @@ def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_
     return start_epoch + epochs
 
 
+def _require_training_splits(index: DatasetIndex, config: TrainConfig) -> None:
+    """Refuse an empty train or val split when any epoch will run."""
+    if config.total_epochs:  # a zero-epoch run reads neither split
+        for split in ("train", "val"):
+            _require_split(index, split, "training")
+
+
+def _require_sweep_epochs(config: TrainConfig) -> None:
+    """A sweep scores each head by its last epoch, so it needs one."""
+    if not config.total_epochs:
+        raise ConfigError("a sweep scores each head by its last epoch, so "
+                          "epochs_phase1 + epochs_phase2 must be at least 1")
+
+
 def two_phase_train(model: Model, index: DatasetIndex, config: TrainConfig,
                     on_epoch: Callable[[EpochLog], None] | None = None) -> TrainResult:
     """Freeze the backbone and train the head, then unfreeze the last k
@@ -357,9 +371,7 @@ def two_phase_train(model: Model, index: DatasetIndex, config: TrainConfig,
             f"unfreeze_last_k={config.unfreeze_last_k} exceeds the "
             f"{num_blocks} backbone blocks"
         )
-    if config.total_epochs:  # a zero-epoch run reads neither split
-        for split in ("train", "val"):
-            _require_split(index, split, "training")
+    _require_training_splits(index, config)
     rng = SplitMix64(config.seed)
     dropout_rng = rng.derive("dropout")
     logs: list[EpochLog] = []
@@ -453,9 +465,11 @@ def sweep(index: DatasetIndex, backbone_config: BackboneConfig,
     row's units and layers (optionally adopting backbone weights from
     ``backbone_checkpoint``), trains with the shared config, and is scored
     by its final-epoch metrics.  The best row has the highest validation
-    accuracy; ties go to the smaller parameter count.
+    accuracy; ties go to the smaller parameter count.  A schedule with no
+    epochs is refused before any model is built.
     """
     base_config.validate()
+    _require_sweep_epochs(base_config)
     rows: list[SweepRow] = []
     logs: dict[str, list[EpochLog]] = {}
     for neurons, layers in SWEEP_HEADS:

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from maskdetect.checkpoint import load_checkpoint
+from maskdetect.checkpoint import load_checkpoint, save_checkpoint
 from maskdetect.cascade import DetectionBox, load_cascade_xml, save_cascade_json
 from maskdetect.cli import (
     CLASS_COLORS,
@@ -227,6 +227,48 @@ def test_evaluate_names_an_empty_split(four_per_class, train_run, tmp_path, caps
                  "--out", str(tmp_path / "e"), "--split", "val"])
     assert code == 2
     assert "'val' split has 0 of the 12 samples" in capsys.readouterr().err
+
+
+def test_sweep_with_no_epochs_exits_two_before_any_output(corpus, tiny_config, tmp_path,
+                                                          capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--data", str(corpus), "--out", str(out),
+                 "--config", str(tiny_config),
+                 "--train.epochs_phase1", "0", "--train.epochs_phase2", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "epochs_phase1" in err and "epochs_phase2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, data, patch, extra, message", [
+    ("train", "four", {}, [], "'test' split has 0"),
+    ("train", "four", {"data": {"ratios": [0.75, 0.0, 0.25]}}, [], "'val' split has 0"),
+    ("train", "corpus", {}, ["--init-backbone", "missing.ckpt"], "cannot read checkpoint"),
+    ("train", "corpus", {}, ["--init-backbone", "wide.ckpt"], "has shape"),
+    ("sweep", "four", {}, [], "'val' split has 0"),
+    ("sweep", "corpus", {}, ["--init-backbone", "wide.ckpt"], "has shape"),
+    ("evaluate", "four", {}, ["--checkpoint", "best.ckpt", "--split", "val"], "'val' split has 0"),
+    ("evaluate", "corpus", {}, ["--checkpoint", "missing.ckpt"], "cannot read checkpoint"),
+], ids=["train-test-split", "train-val-split", "train-missing-backbone",
+        "train-mismatched-backbone", "sweep-val-split", "sweep-mismatched-backbone",
+        "evaluate-val-split", "evaluate-missing-checkpoint"])
+def test_a_refused_run_creates_no_out_dir(command, data, patch, extra, message, corpus,
+                                          four_per_class, train_run, tmp_path, capsys):
+    config = json.loads(json.dumps(TINY_CONFIG))
+    config.update(patch)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    wide = BackboneConfig.from_dict(dict(TINY_CONFIG["backbone"], width_mult=0.5))
+    save_checkpoint(build_model(wide, HeadConfig(), seed=0), tmp_path / "wide.ckpt")
+    files = {"missing.ckpt": tmp_path / "missing.ckpt", "wide.ckpt": tmp_path / "wide.ckpt",
+             "best.ckpt": train_run / "best.ckpt"}
+    out = tmp_path / "out"
+    code = main([command, "--data", str(four_per_class if data == "four" else corpus),
+                 "--out", str(out), "--config", str(tmp_path / "c.json")]
+                + [str(files.get(arg, arg)) for arg in extra])
+    assert code in (1, 2)
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- config merge and overrides -------------------------------------------------------

@@ -711,6 +711,13 @@ def test_split_validates_ratios():
         split_dataset(base, ratios=(math.nan, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("ratios", [("x", 0, 0), (10**400, 0, 0), 5, None, (True, False, False)],
+                         ids=["string", "past-float-range", "int", "none", "bools"])
+def test_split_refuses_ratios_that_are_not_three_real_numbers(ratios):
+    with pytest.raises(ConfigError, match="ratios"):
+        split_dataset(fake_index([4, 4, 4]), ratios=ratios)
+
+
 def test_split_manifest_roundtrip(tmp_path):
     write_corpus(tmp_path / "data", {"with_mask": 7, "without_mask": 7, "incorrect_mask": 7})
     index = split_dataset(scan_dataset(tmp_path / "data"), seed=42)

@@ -573,6 +573,18 @@ def test_sweep_keeps_head_config_but_units_and_layers(tmp_path, monkeypatch):
                      for neurons, layers in SWEEP_HEADS]
 
 
+def test_sweep_refuses_a_schedule_with_no_epochs_before_building_a_model(tmp_path,
+                                                                        monkeypatch):
+    # a sweep scores each head by its last epoch
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(training, "build_model", no_build)
+    with pytest.raises(ConfigError, match="epochs_phase1.*epochs_phase2"):
+        sweep(small_corpus(tmp_path, n=2), tiny_backbone(),
+              quick_config(epochs_phase1=0, epochs_phase2=0))
+
+
 def test_select_best_tie_breaks():
     def row(val_acc, num_params):
         return SweepRow(32, 1, 0.9, val_acc, 0.1, 0.1, 32, 2, num_params)
