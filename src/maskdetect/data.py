@@ -263,14 +263,29 @@ class _SplitOrigin(Config):
         check_split_ratios(self.ratios)
 
 
+def _manifest_keys(index: DatasetIndex) -> list[str]:
+    """Each sample's split-manifest key: its path relative to the scan root
+    it lies under, led by the root's position when there are several, so no
+    key depends on how a root was spelled.  A sample under no root is keyed
+    by its normalised path."""
+    roots = [os.path.join(root, "") for root in index.source_counts]
+    keys = []
+    for s in index.samples:
+        i = next((i for i, root in enumerate(roots) if s.path.startswith(root)), None)
+        rel = os.path.normpath(s.path if i is None else s.path[len(roots[i]):])
+        keys.append(os.path.join(str(i), rel) if i is not None and len(roots) > 1 else rel)
+    return keys
+
+
 def save_split_manifest(index: DatasetIndex, path: str) -> None:
-    """Persist a split assignment as JSON {seed, ratios, splits}."""
+    """Persist a split assignment as JSON {seed, ratios, splits}, with
+    ``splits`` keyed as :func:`_manifest_keys` says."""
     if index.ratios is None:
         raise UsageError("cannot save a manifest for an unsplit index")
     manifest = {
         "seed": index.seed,
         "ratios": list(index.ratios),
-        "splits": {s.path: s.split for s in index.samples},
+        "splits": {key: s.split for key, s in zip(_manifest_keys(index), index.samples)},
     }
     write_json(path, manifest)
 
@@ -296,8 +311,9 @@ def apply_split_manifest(index: DatasetIndex, manifest) -> DatasetIndex:
     """Re-apply a saved split to a freshly scanned index.
 
     ``manifest`` may be a path or an already-loaded dict.  Every sample in
-    the index must be present in the manifest.  Paths are compared after
-    ``os.path.normpath``, so ``corpus/a.ppm`` and ``./corpus/a.ppm`` match.
+    the index must be present in the manifest, under its key relative to
+    its root or, in an older manifest, under its full path.  Keys are
+    compared after ``os.path.normpath``.
     """
     if isinstance(manifest, (str, os.PathLike)):
         manifest = load_split_manifest(os.fspath(manifest))
@@ -309,8 +325,9 @@ def apply_split_manifest(index: DatasetIndex, manifest) -> DatasetIndex:
         warnings=list(index.warnings),
         source_counts={k: dict(v) for k, v in index.source_counts.items()},
     )
-    for s in out.samples:
-        key = os.path.normpath(s.path)
+    for s, key in zip(out.samples, _manifest_keys(index)):
+        if key not in splits:
+            key = os.path.normpath(s.path)
         if key not in splits:
             raise InputError(f"sample not in split manifest: {s.path}")
         assigned = splits[key]

@@ -234,13 +234,13 @@ def _pad_pair(padding) -> tuple[int, int]:
 
 
 def _fold(dcol: np.ndarray, x: Tensor, stride: int, ph: int, pw: int) -> np.ndarray:
-    """col2im: sum window gradients [N,C,OH,OW,kh,kw] onto x's unpadded grid."""
+    """col2im: sum window gradients [N,C,kh,kw,OH,OW] onto x's unpadded grid."""
     n, c, h, w = x.shape
-    oh, ow, kh, kw = dcol.shape[2:]
+    kh, kw, oh, ow = dcol.shape[2:]
     dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcol[..., i, j]
+            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcol[:, :, i, j]
     return dxp[:, :, ph : ph + h, pw : pw + w]
 
 
@@ -252,7 +252,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) 
 
     ``padding`` is an int or an (ph, pw) pair; the pair form exists for the
     factorized 1x7/7x1 branches, which pad one axis only.  Output extent is
-    floor((H + 2*ph - kh) / stride) + 1 per axis.
+    floor((H + 2*ph - kh) / stride) + 1 per axis.  Each sample is one GEMM
+    of the [O, C*kh*kw] weights with its [C*kh*kw, OH*OW] columns, so a
+    sample's result does not depend on the rest of the batch.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -272,27 +274,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) 
             f"conv2d: padded input {(h + 2 * ph, w + 2 * pw)} smaller than kernel {(kh, kw)}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
-    # im2col: (N, C, OH, OW, kh, kw) view -> (N*OH*OW, C*kh*kw) patch matrix
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
+    # a stride-1, unpadded 1x1 conv's columns are its input as it lies
+    pointwise = (kh, kw, stride, ph, pw) == (1, 1, 1, 0, 0)
+    if pointwise:
+        col = x.data.reshape(n, c, h * w)
+    else:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+        # im2col: (N, C, OH, OW, kh, kw) view -> (N, C*kh*kw, OH*OW) columns
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, oh * ow)
     wmat = weight.data.reshape(o, c * kh * kw)
-    out_data = (col @ wmat.T).reshape(n, oh, ow, o).transpose(0, 3, 1, 2) + bias.data.reshape(
-        1, o, 1, 1
-    )
+    out_data = wmat @ col
+    out_data += bias.data[:, None]
 
     def grad_x(g: np.ndarray) -> np.ndarray:
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
-        dcol = (gmat @ wmat).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        return _fold(dcol, x, stride, ph, pw)
+        dcol = wmat.T @ g.reshape(n, o, oh * ow)
+        if pointwise:
+            return dcol.reshape(n, c, h, w)
+        return _fold(dcol.reshape(n, c, kh, kw, oh, ow), x, stride, ph, pw)
 
     def grad_weight(g: np.ndarray) -> np.ndarray:
-        return (g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o).T @ col).reshape(o, c, kh, kw)
+        return (g.reshape(n, o, oh * ow) @ col.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
 
     return _node(
-        np.ascontiguousarray(out_data),
+        out_data.reshape(n, o, oh, ow),
         (x, grad_x),
         (weight, grad_weight),
         (bias, lambda g: g.sum(axis=(0, 2, 3))),
@@ -339,7 +346,7 @@ def pool2d(x: Tensor, kind: str, k: int, stride: int, padding: int = 0) -> Tenso
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         if kind == "avg":
-            share = np.broadcast_to((g / (k * k))[..., None, None], (n, c, oh, ow, k, k))
+            share = np.broadcast_to((g / (k * k))[:, :, None, None], (n, c, k, k, oh, ow))
             return _fold(share, x, stride, ph, pw)
         dxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
         nn, cc, ii, jj = np.ogrid[:n, :c, :oh, :ow]

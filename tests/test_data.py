@@ -733,6 +733,46 @@ def test_split_manifest_roundtrip(tmp_path):
     assert [s.split for s in applied.samples] == [s.split for s in index.samples]
 
 
+def test_split_manifest_does_not_depend_on_root_spelling(tmp_path, monkeypatch):
+    write_corpus(tmp_path / "corpus", {"with_mask": 5, "without_mask": 5, "incorrect_mask": 5})
+    monkeypatch.chdir(tmp_path)
+    index = split_dataset(scan_dataset("corpus"), seed=3)
+    save_split_manifest(index, "split.json")
+    manifest = load_split_manifest("split.json")
+    assert not any(key.startswith("corpus") for key in manifest["splits"])
+    want = [s.split for s in index.samples]
+    for root in (os.path.abspath("corpus"), "./corpus/"):
+        assert [s.split for s in apply_split_manifest(scan_dataset(root), "split.json").samples] == want
+    monkeypatch.chdir(tmp_path / "corpus")
+    applied = apply_split_manifest(scan_dataset("."), tmp_path / "split.json")
+    assert [s.split for s in applied.samples] == want
+
+
+def test_split_manifest_keeps_two_roots_apart(tmp_path, monkeypatch):
+    # both roots hold the same file names; each file keeps its own split
+    for name in ("a", "b"):
+        write_corpus(tmp_path / name, {"with_mask": 6, "without_mask": 6, "incorrect_mask": 6})
+    monkeypatch.chdir(tmp_path)
+    index = split_dataset(scan_dataset(["a", "b"]), seed=5)
+    save_split_manifest(index, "split.json")
+    assert len(load_split_manifest("split.json")["splits"]) == len(index) == 36
+    want = [s.split for s in index.samples]
+    assert want[:18] != want[18:]
+    rescanned = scan_dataset([os.path.abspath("a"), os.path.abspath("b")])
+    assert [s.split for s in apply_split_manifest(rescanned, "split.json").samples] == want
+
+
+def test_split_manifest_reads_full_path_keys(tmp_path):
+    # manifests written before keys were made relative to their root
+    write_corpus(tmp_path / "corpus", {"with_mask": 5, "without_mask": 5, "incorrect_mask": 5})
+    index = split_dataset(scan_dataset(tmp_path / "corpus"), seed=4)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"seed": 4, "ratios": [0.7, 0.15, 0.15],
+                                "splits": {s.path: s.split for s in index.samples}}))
+    applied = apply_split_manifest(scan_dataset(tmp_path / "corpus"), path)
+    assert [s.split for s in applied.samples] == [s.split for s in index.samples]
+
+
 def test_split_manifest_errors(tmp_path):
     index = split_dataset(fake_index([4, 4, 4]), seed=0)
     path = tmp_path / "m.json"

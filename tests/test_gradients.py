@@ -62,6 +62,28 @@ def test_conv2d_weight_and_bias_gradients(seed):
     assert T.gradient_check(fb, b0) < F64_TOL
 
 
+@pytest.mark.parametrize("kernel,stride,padding", [
+    ((1, 1), 1, 0),        # the input is the column matrix
+    ((1, 1), 2, 0),        # strided and padded 1x1 convs build columns
+    ((1, 1), 1, 1),
+    ((1, 7), 1, (0, 3)),   # the factorized pair
+    ((7, 1), 1, (3, 0)),
+])
+def test_conv2d_gradients_per_kernel_path(kernel, stride, padding):
+    rng = SplitMix64(300)
+    x = _pt(rng, (2, 3, 7, 8))
+    w0 = _pt(rng, (4, 3) + kernel)
+    b0 = _pt(rng, (4,))
+    s = _weight(rng, T.conv2d(x, w0, b0, stride=stride, padding=padding).shape)
+
+    def at(xx, ww, bb):
+        return (T.conv2d(xx, ww, bb, stride=stride, padding=padding) * s).sum()
+
+    assert T.gradient_check(lambda t: at(t, w0, b0), x) < F64_TOL
+    assert T.gradient_check(lambda t: at(x, t, b0), w0) < F64_TOL
+    assert T.gradient_check(lambda t: at(x, w0, t), b0) < F64_TOL
+
+
 # -- pooling ----------------------------------------------------------------------
 
 

@@ -80,6 +80,16 @@ def test_eval_forward_is_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_eval_features_do_not_depend_on_the_batch():
+    # every conv is one GEMM per sample, so a crop's features are the same
+    # bits whether it is classified alone or in a batch
+    m = _desk_model()
+    x = _input(8, n=14)
+    batch = m.features(x).data
+    for i in range(14):
+        assert np.array_equal(m.features(T.Tensor(x.data[i : i + 1])).data, batch[i : i + 1])
+
+
 def test_head_layer_count_and_zero_hidden():
     m2 = _desk_model(hidden_units=64, hidden_layers=3)
     assert [fc.weight.data.shape for fc in m2.fcs] == [(36, 64), (64, 64), (64, 64)]

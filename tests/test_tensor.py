@@ -64,17 +64,21 @@ def _rand(rng, shape, dtype=np.float64):
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2), (1, (0, 3))])
 def test_conv2d_matches_loop_oracle(stride, padding):
-    for seed in range(3):
-        rng = SplitMix64(1000 + seed)
-        kh, kw = rng.randint(3) + 1, rng.randint(3) + 1
-        x = _rand(rng, (2, 3, 9, 10))
-        w = _rand(rng, (4, 3, kh, kw))
-        b = _rand(rng, (4,))
+    # three random kernels, then a fixed 1x1 one in both dtypes: at stride 1
+    # without padding it takes the path that uses the input as its columns
+    cases = [(1000 + seed, None, np.float64) for seed in range(3)]
+    cases += [(1003, (1, 1), np.float32), (1003, (1, 1), np.float64)]
+    for seed, kernel, dtype in cases:
+        rng = SplitMix64(seed)
+        kh, kw = kernel or (rng.randint(3) + 1, rng.randint(3) + 1)
+        x = _rand(rng, (2, 3, 9, 10), dtype)
+        w = _rand(rng, (4, 3, kh, kw), dtype)
+        b = _rand(rng, (4,), dtype)
         ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
         got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, padding=padding)
-        want = conv2d_ref(x, w, b, stride, ph, pw)
-        assert got.shape == want.shape
-        assert np.allclose(got.data, want, atol=1e-12)
+        want = conv2d_ref(x.astype(np.float64), w, b, stride, ph, pw)
+        assert got.shape == want.shape and got.dtype == dtype
+        assert np.allclose(got.data, want, rtol=0, atol=1e-12 if dtype == np.float64 else 1e-5)
 
 
 def test_conv2d_asymmetric_padding_shapes():
@@ -213,6 +217,24 @@ def test_avg_pool_makes_no_window_copy():
     finally:
         tracemalloc.stop()
     assert peak < 2.4 * x.data.nbytes
+
+
+def test_1x1_conv_makes_no_column_copy():
+    # a stride-1, unpadded 1x1 conv reads its input as the column matrix:
+    # only the output is allocated, where a column copy alone would take
+    # 4.5x the output here
+    rng = SplitMix64(6)
+    x = T.Tensor(rng.normal(shape=(32, 36, 19, 19)).astype(np.float32))
+    w = T.Tensor(rng.normal(shape=(8, 36, 1, 1)).astype(np.float32))
+    b = T.Tensor(np.zeros(8, dtype=np.float32))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        y = T.conv2d(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * y.data.nbytes
 
 
 def test_pool2d_max_tie_routes_to_lowest_flat_index():
