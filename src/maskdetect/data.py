@@ -265,15 +265,15 @@ class _SplitOrigin(Config):
 
 def _manifest_keys(index: DatasetIndex) -> list[str]:
     """Each sample's split-manifest key: its path relative to the scan root
-    it lies under, led by the root's position when there are several, so no
-    key depends on how a root was spelled.  A sample under no root is keyed
-    by its normalised path."""
+    it lies under, led by that root's position (``0/``, ``1/``, ...), so no
+    key depends on how a root was spelled and two roots' files stay apart.
+    A sample under no root is keyed by its normalised path."""
     roots = [os.path.join(root, "") for root in index.source_counts]
     keys = []
     for s in index.samples:
         i = next((i for i, root in enumerate(roots) if s.path.startswith(root)), None)
-        rel = os.path.normpath(s.path if i is None else s.path[len(roots[i]):])
-        keys.append(os.path.join(str(i), rel) if i is not None and len(roots) > 1 else rel)
+        rel = s.path if i is None else os.path.join(str(i), s.path[len(roots[i]):])
+        keys.append(os.path.normpath(rel))
     return keys
 
 

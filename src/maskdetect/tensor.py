@@ -274,29 +274,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) 
             f"conv2d: padded input {(h + 2 * ph, w + 2 * pw)} smaller than kernel {(kh, kw)}"
         )
 
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
-    # a stride-1, unpadded 1x1 conv's columns are its input as it lies
-    pointwise = (kh, kw, stride, ph, pw) == (1, 1, 1, 0, 0)
-    if pointwise:
-        col = x.data.reshape(n, c, h * w)
-    else:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-        # im2col: (N, C, OH, OW, kh, kw) view -> (N, C*kh*kw, OH*OW) columns
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, oh * ow)
+    # im2col: (N, C, OH, OW, kh, kw) view -> (N, C*kh*kw, OH*OW) columns; for a
+    # stride-1, unpadded 1x1 conv the view is already contiguous and nothing is copied
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, oh * ow)
     wmat = weight.data.reshape(o, c * kh * kw)
-    out_data = wmat @ col
+    # the bias is added in place, after any promotion a wider bias asks for
+    out_data = (wmat @ col).astype(np.result_type(x.data, wmat, bias.data), copy=False)
     out_data += bias.data[:, None]
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         dcol = wmat.T @ g.reshape(n, o, oh * ow)
-        if pointwise:
-            return dcol.reshape(n, c, h, w)
         return _fold(dcol.reshape(n, c, kh, kw, oh, ow), x, stride, ph, pw)
 
     def grad_weight(g: np.ndarray) -> np.ndarray:
-        return (g.reshape(n, o, oh * ow) @ col.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
+        # add the per-sample products in batch order, as a batch sum would, into one array
+        dw = np.zeros((o, c * kh * kw), dtype=np.result_type(g, col))
+        for gi, ci in zip(g.reshape(n, o, oh * ow), col):
+            dw += gi @ ci.T
+        return dw.reshape(o, c, kh, kw)
 
     return _node(
         out_data.reshape(n, o, oh, ow),

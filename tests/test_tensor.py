@@ -101,6 +101,19 @@ def test_conv2d_identity_kernel():
     assert np.array_equal(y.data, x)
 
 
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_conv2d_promotes_a_wider_bias(kernel):
+    # float32 input and weight with a float64 bias give a float64 output
+    rng = SplitMix64(6)
+    x = _rand(rng, (2, 3, 5, 5)).astype(np.float32)
+    w = _rand(rng, (4, 3, kernel, kernel)).astype(np.float32)
+    b = _rand(rng, (4,))
+    y = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b))
+    bare = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(np.zeros(4, dtype=np.float32)))
+    assert y.dtype == np.float64
+    assert np.array_equal(y.data, bare.data + b[:, None, None])
+
+
 def test_conv2d_shape_errors():
     x = T.Tensor(np.zeros((1, 3, 8, 8)))
     b3 = T.Tensor(np.zeros(3))
@@ -235,6 +248,28 @@ def test_1x1_conv_makes_no_column_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * y.data.nbytes
+
+
+def test_conv_weight_gradient_needs_no_per_sample_stack():
+    # late-block shape: more outputs than grid cells.  Stacking the per-sample
+    # products before summing them would take N=32 times the weight gradient
+    rng = SplitMix64(7)
+    x = T.Tensor(rng.normal(shape=(32, 64, 4, 4)).astype(np.float32))
+    w = T.Tensor(rng.normal(shape=(96, 64, 3, 3)).astype(np.float32), requires_grad=True)
+    y = T.conv2d(x, w, T.Tensor(np.zeros(96, dtype=np.float32)), padding=1)
+    g = np.ones(y.shape, dtype=np.float32)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        (grad_weight,) = y._grad_fns
+        dw = grad_weight(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * dw.nbytes
+    # an empty batch has a zero weight gradient
+    empty = T.conv2d(T.Tensor(np.zeros((0, 64, 4, 4), np.float32)), w, T.Tensor(np.zeros(96)), padding=1)
+    assert not empty._grad_fns[0](np.zeros(empty.shape)).any()
 
 
 def test_pool2d_max_tie_routes_to_lowest_flat_index():
