@@ -233,6 +233,16 @@ def _pad_pair(padding) -> tuple[int, int]:
     return ph, pw
 
 
+def _pad(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
+    """[N,C,H,W] ``a`` with ``ph`` rows and ``pw`` columns of ``fill`` on each side."""
+    if not (ph or pw):
+        return a
+    n, c, h, w = a.shape
+    out = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, dtype=a.dtype)
+    out[:, :, ph : ph + h, pw : pw + w] = a
+    return out
+
+
 def _fold(dcol: np.ndarray, x: Tensor, stride: int, ph: int, pw: int) -> np.ndarray:
     """col2im: sum window gradients [N,C,kh,kw,OH,OW] onto x's unpadded grid."""
     n, c, h, w = x.shape
@@ -274,7 +284,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) 
             f"conv2d: padded input {(h + 2 * ph, w + 2 * pw)} smaller than kernel {(kh, kw)}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    xp = _pad(x.data, ph, pw)
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
     # im2col: (N, C, OH, OW, kh, kw) view -> (N, C*kh*kw, OH*OW) columns; for a
@@ -327,11 +337,7 @@ def pool2d(x: Tensor, kind: str, k: int, stride: int, padding: int = 0) -> Tenso
     hp, wp = h + 2 * ph, w + 2 * pw
     if k > hp or k > wp:
         raise ShapeError(f"pool2d: window {k} exceeds padded input {(hp, wp)}")
-    if ph or pw:
-        fill = -np.inf if kind == "max" else 0.0
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    else:
-        xp = x.data
+    xp = _pad(x.data, ph, pw, -np.inf if kind == "max" else 0.0)
     oh = (hp - k) // stride + 1
     ow = (wp - k) // stride + 1
 
@@ -395,9 +401,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, v); subgradient at 0 is 0.  A NaN passes through,
-    so a non-finite input still reaches the loss."""
+    so a non-finite input still reaches the loss.  The argument order
+    matters: maximum(v, 0) returns v's own NaN bits, and +0.0 for -0.0."""
     xd = x.data
-    return _node(np.where(xd <= 0, x.dtype.type(0), xd), (x, lambda g: g * (xd > 0)))
+    return _node(np.maximum(xd, 0), (x, lambda g: g * (xd > 0)))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -518,14 +525,17 @@ def batch_norm2d(
                 f"batch_norm2d: train mode needs >= 2 values per channel, batch gives {m}"
             )
         mu = x.data.mean(axis=(0, 2, 3), dtype=dt)
-        var = x.data.var(axis=(0, 2, 3), dtype=dt)
+        xhat = x.data - mu[None, :, None, None]
+        # np.var's own steps on the centred input, so var keeps its bits
+        var = np.square(xhat).mean(axis=(0, 2, 3), dtype=dt)
         state.running_mean[:] = (1.0 - momentum) * state.running_mean + momentum * mu
         state.running_var[:] = (1.0 - momentum) * state.running_var + momentum * var
     else:
         mu = state.running_mean.astype(dt)
         var = state.running_var.astype(dt)
+        xhat = x.data - mu[None, :, None, None]
     inv = (1.0 / np.sqrt(var + dt.type(epsilon))).astype(dt)
-    xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
+    xhat *= inv[None, :, None, None]
     scale = (gamma.data * inv)[None, :, None, None]
 
     def grad_x(g: np.ndarray) -> np.ndarray:
@@ -535,8 +545,10 @@ def batch_norm2d(
         gx_mean = (g * xhat).mean(axis=(0, 2, 3), keepdims=True, dtype=dt)
         return (scale * (g - g_mean - xhat * gx_mean)).astype(dt)
 
+    y = gamma.data[None, :, None, None] * xhat
+    y += beta.data[None, :, None, None]
     return _node(
-        (gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]).astype(dt),
+        y.astype(dt, copy=False),
         (x, grad_x),
         (gamma, lambda g: (g * xhat).sum(axis=(0, 2, 3), dtype=dt)),
         (beta, lambda g: g.sum(axis=(0, 2, 3), dtype=dt)),

@@ -217,19 +217,44 @@ def test_avg_pool_bits_do_not_depend_on_the_block_size(dtype, monkeypatch):
         _assert_same_bits(one, all_, case)
 
 
+def _peak_bytes(run):
+    """Result of ``run()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_avg_pool_makes_no_window_copy():
     # the Inception pool branch: 3x3, stride 1, padding 1.  A [N,C,OH,OW,9]
     # window copy alone would take 9x the input; the padded copy plus the
     # output take about 2.2x, so partial-sum arrays beside them do not fit
     x = T.Tensor(SplitMix64(5).normal(shape=(32, 36, 19, 19)).astype(np.float32))
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        T.pool2d(x, "avg", 3, 1, padding=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _peak_bytes(lambda: T.pool2d(x, "avg", 3, 1, padding=1))
     assert peak < 2.4 * x.data.nbytes
+
+
+def test_relu_allocates_only_its_output():
+    # a boolean mask beside the output would add a quarter of it in float32
+    x = T.Tensor(SplitMix64(9).normal(shape=(8, 30, 19, 19)).astype(np.float32))
+    y, peak = _peak_bytes(lambda: T.relu(x))
+    assert peak < 1.1 * y.data.nbytes
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_norm_keeps_one_temporary_beside_its_output(mode):
+    # the normalized input, which the backward keeps, and the output are the
+    # only full-size arrays: a third one alive beside them would not fit
+    rng = SplitMix64(10)
+    x = T.Tensor((rng.normal(shape=(8, 30, 19, 19)) * 3.0 + 1.0).astype(np.float32))
+    gamma = T.Tensor(rng.normal(shape=(30,)).astype(np.float32))
+    beta = T.Tensor(rng.normal(shape=(30,)).astype(np.float32))
+    state = T.BatchNormState(30, np.float32)
+    y, peak = _peak_bytes(lambda: T.batch_norm2d(x, gamma, beta, state, mode))
+    assert peak < 2.5 * y.data.nbytes
 
 
 def test_1x1_conv_makes_no_column_copy():
@@ -240,13 +265,7 @@ def test_1x1_conv_makes_no_column_copy():
     x = T.Tensor(rng.normal(shape=(32, 36, 19, 19)).astype(np.float32))
     w = T.Tensor(rng.normal(shape=(8, 36, 1, 1)).astype(np.float32))
     b = T.Tensor(np.zeros(8, dtype=np.float32))
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        y = T.conv2d(x, w, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    y, peak = _peak_bytes(lambda: T.conv2d(x, w, b))
     assert peak < 1.2 * y.data.nbytes
 
 
@@ -258,14 +277,8 @@ def test_conv_weight_gradient_needs_no_per_sample_stack():
     w = T.Tensor(rng.normal(shape=(96, 64, 3, 3)).astype(np.float32), requires_grad=True)
     y = T.conv2d(x, w, T.Tensor(np.zeros(96, dtype=np.float32)), padding=1)
     g = np.ones(y.shape, dtype=np.float32)
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        (grad_weight,) = y._grad_fns
-        dw = grad_weight(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (grad_weight,) = y._grad_fns
+    dw, peak = _peak_bytes(lambda: grad_weight(g))
     assert peak < 3 * dw.nbytes
     # an empty batch has a zero weight gradient
     empty = T.conv2d(T.Tensor(np.zeros((0, 64, 4, 4), np.float32)), w, T.Tensor(np.zeros(96)), padding=1)
@@ -332,6 +345,36 @@ def test_relu_keeps_nan_and_positive_zero():
     assert not np.signbit(y.data[1])  # -0.0 comes out as +0.0
     y.sum().backward()
     assert np.array_equal(t.grad, [0.0, 0.0, 1.0, 0.0])  # the mask is x > 0
+
+
+def _special_floats(dtype):
+    """+-0, quiet and signalling NaNs of both signs with payloads, +-inf,
+    subnormals of both signs and +-1, bit for bit."""
+    if dtype == np.float32:
+        bits = [0x00000000, 0x80000000, 0x7FC00001, 0xFFC12345, 0x7F800001, 0xFF812345,
+                0x7F800000, 0xFF800000, 0x00000001, 0x807FFFFF, 0x3F800000, 0xBF800000]
+        return np.array(bits, dtype=np.uint32).view(np.float32)
+    bits = [0, 1 << 63, 0x7FF8000000000001, 0xFFF8000000012345, 0x7FF0000000000001,
+            0xFFF0000000012345, 0x7FF0000000000000, 0xFFF0000000000000, 1,
+            0x800FFFFFFFFFFFFF, 0x3FF0000000000000, 0xBFF0000000000000]
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bits_match_the_masked_select(dtype):
+    # relu gives the bits np.where(x <= 0, 0, x) gives: -0.0 becomes +0.0 and
+    # a NaN keeps its sign and payload.  Each special value sits at every
+    # offset 0-15 of arrays of length 1-69, in the SIMD body and in the tail
+    base = SplitMix64(11).normal(shape=(69,)).astype(dtype)
+    for n in range(1, 70):
+        for offset in range(min(n, 16)):
+            for v in _special_floats(dtype):
+                x = base[:n].copy()
+                x[offset] = v
+                with np.errstate(invalid="ignore"):
+                    want = np.where(x <= 0, dtype(0), x)
+                got = T.relu(T.Tensor(x)).data
+                assert got.tobytes() == want.tobytes(), (n, offset, x[offset : offset + 1].tobytes())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -422,6 +465,62 @@ def test_batch_norm_eval_uses_running_stats_and_keeps_them():
     assert np.allclose(y.data[0, 0], (1.0 - 1.0) / 2.0, atol=1e-6)
     assert np.allclose(y.data[0, 1], (1.0 + 2.0) / 0.5, atol=1e-6)
     assert np.array_equal(st.running_mean, [1.0, -2.0])  # eval never writes state
+
+
+def _batch_norm_first_formula(x, gamma, beta, running_mean, running_var, mode, g,
+                              momentum=0.1, epsilon=1e-5):
+    """batch_norm2d as first written, with np.var, (x - mu) * inv and
+    (gamma * xhat + beta).astype(dt): the output, the running stats after
+    the call and the gradients of x, gamma and beta for output gradient g."""
+    dt, axes = x.dtype, (0, 2, 3)
+    rm, rv = running_mean.copy(), running_var.copy()
+    if mode == "train":
+        mu, var = x.mean(axis=axes, dtype=dt), x.var(axis=axes, dtype=dt)
+        rm[:] = (1.0 - momentum) * rm + momentum * mu
+        rv[:] = (1.0 - momentum) * rv + momentum * var
+    else:
+        mu, var = rm.astype(dt), rv.astype(dt)
+    inv = (1.0 / np.sqrt(var + dt.type(epsilon))).astype(dt)
+    xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
+    scale = (gamma * inv)[None, :, None, None]
+    y = (gamma[None, :, None, None] * xhat + beta[None, :, None, None]).astype(dt)
+    if mode == "eval":
+        dx = (g * scale).astype(dt)
+    else:
+        g_mean = g.mean(axis=axes, keepdims=True, dtype=dt)
+        gx_mean = (g * xhat).mean(axis=axes, keepdims=True, dtype=dt)
+        dx = (scale * (g - g_mean - xhat * gx_mean)).astype(dt)
+    return y, rm, rv, dx, (g * xhat).sum(axis=axes, dtype=dt), g.sum(axis=axes, dtype=dt)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize(
+    "dtypes",
+    [(np.float32,) * 3, (np.float64,) * 3, (np.float32, np.float64, np.float32),
+     (np.float32, np.float32, np.float64)],
+    ids=["f32", "f64", "f64-gamma", "f64-beta"],
+)
+def test_batch_norm_bits_match_the_first_formula(mode, dtypes):
+    # output, running stats and the three gradients, bit for bit; the input
+    # dtype is the first of dtypes, then gamma's and beta's
+    dtype, gamma_dtype, beta_dtype = dtypes
+    for seed, shape in enumerate([(2, 3, 5, 5), (3, 4, 1, 7), (8, 30, 19, 19), (2, 16, 9, 9)]):
+        rng = SplitMix64(4000 + seed)
+        c = shape[1]
+        x = (rng.normal(shape=shape) * (seed + 0.5) + 3.0 * seed).astype(dtype)
+        gamma = rng.normal(shape=(c,)).astype(gamma_dtype)
+        beta = rng.normal(shape=(c,)).astype(beta_dtype)
+        g = rng.normal(shape=shape).astype(dtype)
+        state = T.BatchNormState(c, dtype)
+        state.running_mean[:] = rng.normal(shape=(c,))
+        state.running_var[:] = rng.uniform(shape=(c,)) + 0.5
+        want = _batch_norm_first_formula(x, gamma, beta, state.running_mean, state.running_var,
+                                         mode, g)
+        y = T.batch_norm2d(T.Tensor(x, requires_grad=True), T.Tensor(gamma, requires_grad=True),
+                           T.Tensor(beta, requires_grad=True), state, mode)
+        got = (y.data, state.running_mean, state.running_var, *(fn(g) for fn in y._grad_fns))
+        for name, a, b in zip(["y", "mean", "var", "dx", "dgamma", "dbeta"], got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, name)
 
 
 def test_batch_norm_degenerate_batch_rejected():
