@@ -2,12 +2,12 @@
 
 Layout: the 4 magic bytes ``MPC1``, a little-endian u32 byte length, a JSON
 header of exactly that length, then a packed little-endian float32 payload.
-The header records both architecture configs, the build seed, and a
-manifest of every parameter and running-statistics buffer (name, kind,
-shape, byte offset into the payload, trainable flag for parameters).  The
-manifest order is the model's own stable parameter order, and the JSON is
-dumped with sorted keys, so saving the same model state twice produces
-byte-identical files.
+The header records the integer format version, both architecture configs,
+the build seed, and a manifest of every parameter and running-statistics
+buffer (name, kind, shape, byte offset into the payload, trainable flag for
+parameters).  The manifest order is the model's own stable parameter
+order, and the JSON is dumped with sorted keys, so saving the same model
+state twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import CheckpointError, ConfigError
 from .nn import BackboneConfig, HeadConfig, Model
 
 MAGIC = b"MPC1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -96,8 +96,9 @@ def _read(path) -> tuple[dict, bytes]:
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header must be a JSON object")
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version!r}")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: format version {version!r} is not supported, "
+                              f"this build reads version {FORMAT_VERSION}")
     for key in ("backbone", "head", "seed", "entries"):
         if key not in header:
             raise CheckpointError(f"{path}: header is missing {key!r}")

@@ -445,16 +445,17 @@ def classify_crop(model, image: np.ndarray, box) -> tuple[int, float]:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    json_out = args.json_out
+    if json_out is None:
+        stem, _ = os.path.splitext(os.fspath(args.out))
+        json_out = stem + ".json"
+    if os.path.abspath(json_out) == os.path.abspath(args.out):
+        raise UsageError(f"the --json-out file would overwrite the --out image {args.out!r}")
     config = load_config(args)
     image = load_ppm(args.image)
     cascade = _load_cascade_any(args.cascade)
     model = load_checkpoint(args.checkpoint)
     boxes = detect(to_grayscale(image), cascade, config.detect)
-
-    json_out = args.json_out
-    if json_out is None:
-        stem, _ = os.path.splitext(os.fspath(args.out))
-        json_out = stem + ".json"
 
     annotated = image.copy()
     faces = []

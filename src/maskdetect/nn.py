@@ -144,7 +144,7 @@ class HeadConfig(Config):
 
 
 class Conv2d:
-    """Convolution with bias; weights drawn He-uniform from the given stream."""
+    """Convolution without bias (a batch norm follows); weights drawn He-uniform from rng."""
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: tuple,
                  stride: int, padding, rng: SplitMix64):
@@ -154,13 +154,12 @@ class Conv2d:
         self.weight = T.Parameter(
             name + ".weight", _he_uniform(rng, in_ch * kh * kw, (out_ch, in_ch, kh, kw))
         )
-        self.bias = T.Parameter(name + ".bias", np.zeros(out_ch, dtype=np.float32))
 
     def forward(self, x: T.Tensor) -> T.Tensor:
-        return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
 
     def parameters(self) -> list:
-        return [self.weight, self.bias]
+        return [self.weight]
 
 
 class BatchNorm2d:

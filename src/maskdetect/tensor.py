@@ -257,14 +257,16 @@ def _fold(dcol: np.ndarray, x: Tensor, stride: int, ph: int, pw: int) -> np.ndar
 # -- convolution ----------------------------------------------------------------
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int = 1,
+           padding=0) -> Tensor:
     """Zero-padded cross-correlation of [N,C,H,W] with [O,C,kh,kw] filters.
 
     ``padding`` is an int or an (ph, pw) pair; the pair form exists for the
     factorized 1x7/7x1 branches, which pad one axis only.  Output extent is
     floor((H + 2*ph - kh) / stride) + 1 per axis.  Each sample is one GEMM
     of the [O, C*kh*kw] weights with its [C*kh*kw, OH*OW] columns, so a
-    sample's result does not depend on the rest of the batch.
+    sample's result does not depend on the rest of the batch.  Without a
+    ``bias`` the op adds nothing and builds no bias edge.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -274,7 +276,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) 
     o, cw, kh, kw = weight.shape
     if c != cw:
         raise ShapeError(f"conv2d: input channels {x.shape} do not match weight {weight.shape}")
-    if bias.shape != (o,):
+    if bias is not None and bias.shape != (o,):
         raise ShapeError(f"conv2d: bias {bias.shape} must be ({o},)")
     if stride < 1:
         raise ParameterError(f"conv2d: stride must be positive, got {stride}")
@@ -292,9 +294,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) 
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, oh * ow)
     wmat = weight.data.reshape(o, c * kh * kw)
-    # the bias is added in place, after any promotion a wider bias asks for
-    out_data = (wmat @ col).astype(np.result_type(x.data, wmat, bias.data), copy=False)
-    out_data += bias.data[:, None]
+    out_data = wmat @ col
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         dcol = wmat.T @ g.reshape(n, o, oh * ow)
@@ -307,12 +307,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding=0) 
             dw += gi @ ci.T
         return dw.reshape(o, c, kh, kw)
 
-    return _node(
-        out_data.reshape(n, o, oh, ow),
-        (x, grad_x),
-        (weight, grad_weight),
-        (bias, lambda g: g.sum(axis=(0, 2, 3))),
-    )
+    edges = [(x, grad_x), (weight, grad_weight)]
+    if bias is not None:  # in place, after any promotion, so no second output is made
+        out_data = out_data.astype(np.result_type(out_data, bias.data), copy=False)
+        out_data += bias.data[:, None]
+        edges.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return _node(out_data.reshape(n, o, oh, ow), *edges)
 
 
 # -- pooling ---------------------------------------------------------------------

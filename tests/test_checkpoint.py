@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import struct
 import tracemalloc
 
@@ -11,6 +12,8 @@ import pytest
 from maskdetect import checkpoint
 from maskdetect import tensor as T
 from maskdetect.checkpoint import load_checkpoint, load_into, read_header, save_checkpoint
+from maskdetect.cli import main
+from maskdetect.data import synth_dataset
 from maskdetect.errors import CheckpointError
 from maskdetect.nn import BackboneConfig, HeadConfig, build_model, desk_backbone
 from maskdetect.rng import SplitMix64
@@ -63,13 +66,89 @@ def test_saved_bytes_are_deterministic(tmp_path):
 # SHA-256 of the seed-0 desk model as first saved: it pins the SplitMix64
 # draw order of the initial weights, the parameter names and the manifest
 # order.  Init and save use no BLAS, so it should not depend on the numpy build.
-INITIAL_DESK_SHA256 = "ffec5ed025a1bbc03febc4fd3bd106f4d298b8be0036ecc009a198acd2ebdaff"
+INITIAL_DESK_SHA256 = "989400c3190c49390878bcc5b7e8f03d937db9f23c0cf20c150abe8f9a644e84"
+# the same model saved in format 1, which held a zero bias for every conv
+INITIAL_DESK_V1_SHA256 = "ffec5ed025a1bbc03febc4fd3bd106f4d298b8be0036ecc009a198acd2ebdaff"
+# SHA-256 over each parameter's name, then its <f4 bytes, in model order: the
+# weights drawn from the init stream, whatever file format holds them
+INITIAL_DESK_WEIGHTS_SHA256 = "07f208b44174d1ee381157ad917cef084654a1a21487d9211f4dc25d9c903098"
 
 
 def test_initial_desk_weights_match_the_golden_hash(tmp_path):
     path = tmp_path / "init.ckpt"
-    save_checkpoint(build_model(desk_backbone(), HeadConfig(), seed=0), path)
+    model = build_model(desk_backbone(), HeadConfig(), seed=0)
+    save_checkpoint(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_SHA256
+    names = [e["name"] for e in read_header(path)["entries"]]
+    assert not [n for n in names if n.endswith(".conv.bias")]
+    assert len(names) == 105 + 2 * 33  # parameters, then two buffers per batch norm
+    assert path.stat().st_size == 152_250
+    # the helper below writes what format 1 wrote for the same model
+    _save_version_1(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_V1_SHA256
+
+
+def test_initial_desk_weights_drawn_from_the_init_stream_are_pinned():
+    digest = hashlib.sha256()
+    for p in build_model(desk_backbone(), HeadConfig(), seed=0).parameters():
+        digest.update(p.name.encode())
+        digest.update(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    assert digest.hexdigest() == INITIAL_DESK_WEIGHTS_SHA256
+
+
+def _save_version_1(model, path):
+    """Write ``model`` as format 1 did: a zero ``.conv.bias`` after each conv weight."""
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header, payload = json.loads(raw[8 : 8 + hlen]), raw[8 + hlen :]
+    entries, blobs = [], []
+    for e in header["entries"]:
+        pieces = [(e, payload[e["offset"] : e["offset"] + 4 * math.prod(e["shape"])])]
+        if e["name"].endswith(".conv.weight"):
+            bias = {**e, "name": e["name"][: -len("weight")] + "bias", "shape": e["shape"][:1]}
+            pieces.append((bias, bytes(4 * e["shape"][0])))
+        for entry, blob in pieces:
+            entries.append({**entry, "offset": sum(map(len, blobs))})
+            blobs.append(blob)
+    header.update(format_version=1, entries=entries)
+    enc = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + b"".join(blobs))
+
+
+def _version(value):
+    def mutate(header):
+        header["format_version"] = value
+        return header
+    return mutate
+
+
+# format 1 held conv biases; a bool, or a float equal to a version, is no version
+BAD_VERSIONS = {"true": True, "one_point_zero": 1.0, "two_point_zero": 2.0, "version_1": 1}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VERSIONS))
+def test_unsupported_format_version_is_refused(tmp_path, case, capsys):
+    version = BAD_VERSIONS[case]
+    model, bad = _model(seed=1), tmp_path / "bad.ckpt"
+    if case == "version_1":
+        _save_version_1(model, bad)
+    else:
+        save_checkpoint(model, tmp_path / "good.ckpt")
+        _rewrite_header(tmp_path / "good.ckpt", bad, _version(version))
+    named = f"format version {version!r} is not supported, this build reads version 2"
+    with pytest.raises(CheckpointError, match=named):
+        load_checkpoint(bad)
+    before = [p.data.copy() for p in model.parameters()]
+    with pytest.raises(CheckpointError, match=named):
+        load_into(model, bad, prefix="backbone.")  # the --init-backbone path
+    assert all(np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
+    synth_dataset(1, 16, seed=1, out_dir=tmp_path / "corpus")
+    code = main(["evaluate", "--data", str(tmp_path / "corpus"), "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "e")])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_header_layout(tmp_path):
@@ -80,7 +159,7 @@ def test_header_layout(tmp_path):
     assert raw[:4] == b"MPC1"
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + hlen])
-    assert header["format_version"] == 1
+    assert header["format_version"] == 2
     kinds = {e["kind"] for e in header["entries"]}
     assert kinds == {"param", "buffer"}
     n_params = sum(1 for e in header["entries"] if e["kind"] == "param")

@@ -721,6 +721,26 @@ def test_annotate_no_faces_copies_image(blank_scene, train_run, tmp_path):
     assert np.array_equal(load_ppm(out), load_ppm(blank_scene))
 
 
+@pytest.mark.parametrize("out, json_out", [
+    ("faces.json", None),           # the default JSON path is --out with .json
+    ("a.ppm", "a.ppm"),
+    ("./a.ppm", "a.ppm"),           # compared as absolute paths
+    ("sub/../a.ppm", "./a.ppm"),
+])
+def test_annotate_same_path_for_both_outputs_exits_two(tmp_path, monkeypatch, capsys,
+                                                      out, json_out):
+    # the image, cascade and checkpoint do not exist: the refusal comes
+    # before any file is read, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    argv = ["annotate", "--image", "none.ppm", "--cascade", "none.xml",
+            "--checkpoint", "none.ckpt", "--out", out]
+    code = main(argv + (["--json-out", json_out] if json_out else []))
+    assert code == 2
+    assert "the --json-out file would overwrite the --out image" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["sub"] and not os.listdir("sub")
+
+
 # -- drawing and classification helpers -----------------------------------------------
 
 

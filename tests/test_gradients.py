@@ -38,10 +38,11 @@ def test_conv2d_input_gradient(seed, stride, padding):
     oh = T.conv2d(x, w, b, stride=stride, padding=padding).shape
     s = _weight(rng, oh)
 
-    def f(t):
-        return (T.conv2d(t, w, b, stride=stride, padding=padding) * s).sum()
+    for bias in (b, None):  # the model's convs pass no bias
+        def f(t):
+            return (T.conv2d(t, w, bias, stride=stride, padding=padding) * s).sum()
 
-    assert T.gradient_check(f, x) < F64_TOL
+        assert T.gradient_check(f, x) < F64_TOL
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -79,8 +80,9 @@ def test_conv2d_gradients_per_kernel_path(kernel, stride, padding):
     def at(xx, ww, bb):
         return (T.conv2d(xx, ww, bb, stride=stride, padding=padding) * s).sum()
 
-    assert T.gradient_check(lambda t: at(t, w0, b0), x) < F64_TOL
-    assert T.gradient_check(lambda t: at(x, t, b0), w0) < F64_TOL
+    for bias in (b0, None):  # the model's convs pass no bias
+        assert T.gradient_check(lambda t: at(t, w0, bias), x) < F64_TOL
+        assert T.gradient_check(lambda t: at(x, t, bias), w0) < F64_TOL
     assert T.gradient_check(lambda t: at(x, w0, t), b0) < F64_TOL
 
 

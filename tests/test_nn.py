@@ -135,6 +135,14 @@ def test_parameter_names_unique_and_order_stable():
     assert names == [p.name for p in _desk_model(seed=2).parameters()]
     assert names[0].startswith("backbone.stem.0.")
     assert names[-1] == "head.out.bias"
+    # convs carry no bias: a batch norm follows each, and its beta is the shift
+    assert not [n for n in names if n.endswith(".conv.bias")]
+    units = list(m.stem) + [u for b in m.blocks for u in b._units()]
+    assert len(units) == 33
+    for unit in units:
+        prefix = unit.conv.weight.name[: -len("conv.weight")]
+        assert [p.name for p in unit.parameters()] == [
+            prefix + "conv.weight", prefix + "bn.gamma", prefix + "bn.beta"]
     buf_names = [n for n, _ in m.buffers()]
     assert all(n.endswith(("running_mean", "running_var")) for n in buf_names)
     assert len(buf_names) == len(set(buf_names))
@@ -279,3 +287,5 @@ def test_model_counts_parameters():
     head_only = sum(p.data.size for p in m.parameters() if p.name.startswith("head."))
     # head dominated by fc1: 36*128 + 128 + 128*128 + 128 + 128*3 + 3
     assert head_only == 36 * 128 + 128 + 128 * 128 + 128 + 128 * 3 + 3
+    assert (len(m.parameters()), total) == (105, 32_563)
+    assert build_model(BackboneConfig(), HeadConfig(), seed=0).num_parameters() == 202_339

@@ -79,6 +79,12 @@ def test_conv2d_matches_loop_oracle(stride, padding):
         want = conv2d_ref(x.astype(np.float64), w, b, stride, ph, pw)
         assert got.shape == want.shape and got.dtype == dtype
         assert np.allclose(got.data, want, rtol=0, atol=1e-12 if dtype == np.float64 else 1e-5)
+        # without a bias nothing is added: equal by value to a zero bias (where
+        # adding +0.0 turned a -0.0 into +0.0, the bias-free output keeps -0.0)
+        bare = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding)
+        zero = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(np.zeros(4, dtype)),
+                        stride=stride, padding=padding)
+        assert bare.dtype == dtype and np.array_equal(bare.data, zero.data)
 
 
 def test_conv2d_asymmetric_padding_shapes():
@@ -704,6 +710,7 @@ def test_constant_input_keeps_only_trainable_edges():
     y.sum().backward()
     assert x.grad is None
     assert w.grad is not None and b.grad is not None
+    assert T.conv2d(x, w, padding=1)._parents == (w,)  # no bias, no bias edge
 
 
 def test_frozen_branch_gets_no_gradient():
