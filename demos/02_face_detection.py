@@ -8,9 +8,14 @@ into final boxes.
 Run:  python3 demos/02_face_detection.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
-from maskdetect import DetectParams, detect, eval_window, integral_image, save_cascade_json
+from maskdetect import (
+    DetectParams, detect, eval_window, integral_image, load_cascade_json, save_cascade_json,
+)
 from maskdetect.cascade import Cascade, HaarFeature, HaarRect, Stage, WeakClassifier
 
 
@@ -67,5 +72,8 @@ assert detect(np.full_like(scene, 128), cascade) == []
 print("inverted and blank scenes produce no detections")
 
 # the cascade round-trips through the JSON codec
-save_cascade_json(cascade, "/tmp/band_cascade.json")
-print("cascade saved to /tmp/band_cascade.json")
+with tempfile.TemporaryDirectory(prefix="maskdemo_") as work:
+    path = os.path.join(work, "band_cascade.json")
+    save_cascade_json(cascade, path)
+    assert load_cascade_json(path) == cascade
+print("cascade saved as JSON and read back unchanged")

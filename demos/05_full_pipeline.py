@@ -12,6 +12,7 @@ red none / orange incorrect).
 Run:  python3 demos/05_full_pipeline.py   (trains a tiny model first)
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -57,40 +58,43 @@ def portrait_cascade() -> Cascade:
     return Cascade(base_width=24, base_height=24, stages=stages)
 
 
-# 1. train a small classifier on the synthetic corpus
-corpus_dir = tempfile.mkdtemp(prefix="maskdemo_pipeline_")
-index = split_dataset(synth_dataset(60, 75, seed=11, out_dir=corpus_dir), seed=0)
-model = build_model(
-    desk_backbone(),
-    HeadConfig(hidden_units=64, hidden_layers=1, dropout_rate=0.0),
-    seed=0,
-)
-config = TrainConfig(epochs_phase1=0, epochs_phase2=6, unfreeze_last_k=4,
-                     lr_phase2=1e-3, batch_size=8, seed=0, augment=None)
-result = two_phase_train(model, index, config)
-print(f"classifier trained: final val accuracy {result.logs[-1].val_acc:.3f}")
+# the corpus and the annotated image live in one directory, removed at the end
+with tempfile.TemporaryDirectory(prefix="maskdemo_") as work:
+    # 1. train a small classifier on the synthetic corpus
+    corpus_dir = os.path.join(work, "corpus")
+    index = split_dataset(synth_dataset(60, 75, seed=11, out_dir=corpus_dir), seed=0)
+    model = build_model(
+        desk_backbone(),
+        HeadConfig(hidden_units=64, hidden_layers=1, dropout_rate=0.0),
+        seed=0,
+    )
+    config = TrainConfig(epochs_phase1=0, epochs_phase2=6, unfreeze_last_k=4,
+                         lr_phase2=1e-3, batch_size=8, seed=0, augment=None)
+    result = two_phase_train(model, index, config)
+    print(f"classifier trained: final val accuracy {result.logs[-1].val_acc:.3f}")
 
-# 2. compose a scene: one unseen portrait per class on a neutral wall
-test_samples = index.samples_for("test")
-by_label = {sample.label: sample for sample in test_samples}
-scene = np.full((130, 290, 3), 128, np.uint8)
-placements = [(by_label[label], 15 + 90 * i, 28) for i, label in enumerate(sorted(by_label))]
-for sample, x0, y0 in placements:
-    scene[y0:y0 + 75, x0:x0 + 75] = load_ppm(sample.path)
-    print(f"pasted a {LABEL_NAMES[sample.label]} portrait at ({x0}, {y0})")
+    # 2. compose a scene: one unseen portrait per class on a neutral wall
+    test_samples = index.samples_for("test")
+    by_label = {sample.label: sample for sample in test_samples}
+    scene = np.full((130, 290, 3), 128, np.uint8)
+    placements = [(by_label[label], 15 + 90 * i, 28) for i, label in enumerate(sorted(by_label))]
+    for sample, x0, y0 in placements:
+        scene[y0:y0 + 75, x0:x0 + 75] = load_ppm(sample.path)
+        print(f"pasted a {LABEL_NAMES[sample.label]} portrait at ({x0}, {y0})")
 
-# 3. locate and classify
-boxes = detect(to_grayscale(scene), portrait_cascade(),
-               DetectParams(scale_factor=1.15, step=2, min_size=48, min_neighbors=2))
-print(f"{len(boxes)} face region(s) proposed")
+    # 3. locate and classify
+    boxes = detect(to_grayscale(scene), portrait_cascade(),
+                   DetectParams(scale_factor=1.15, step=2, min_size=48, min_neighbors=2))
+    print(f"{len(boxes)} face region(s) proposed")
 
-annotated = scene.copy()
-for box in sorted(boxes, key=lambda b: b.x):
-    klass, confidence = classify_crop(model, scene, box)
-    draw_rectangle(annotated, box.x, box.y, box.w, box.h, CLASS_COLORS[klass])
-    print(f"  box ({box.x},{box.y},{box.w},{box.h}) -> "
-          f"{LABEL_NAMES[klass]} ({confidence:.2f})")
+    annotated = scene.copy()
+    for box in sorted(boxes, key=lambda b: b.x):
+        klass, confidence = classify_crop(model, scene, box)
+        draw_rectangle(annotated, box.x, box.y, box.w, box.h, CLASS_COLORS[klass])
+        print(f"  box ({box.x},{box.y},{box.w},{box.h}) -> "
+              f"{LABEL_NAMES[klass]} ({confidence:.2f})")
 
-out_path = tempfile.mktemp(suffix=".ppm")
-save_ppm(annotated, out_path)
-print("annotated image written to", out_path)
+    out_path = os.path.join(work, "annotated.ppm")
+    save_ppm(annotated, out_path)
+    assert np.array_equal(load_ppm(out_path), annotated)
+    print("annotated image written and read back unchanged")

@@ -230,9 +230,12 @@ class InceptionBlock:
 
     ``branches`` lists the branches in output order, each a chain of
     conv+norm+relu units: 1x1, 3x3 (behind a 1x1 reduce), 5x5 (behind a
-    reduce), optionally 1x7 then 7x1 (behind a reduce), and last a 1x1
-    projection, which reads a 3x3 average pool of the input.  Spatial size
-    is preserved by every branch.
+    reduce), optionally 1x7 then 7x1 (behind a reduce), and last the pool
+    branch: a 3x3 average pool (zeros counted) of a 1x1 projection, ahead
+    of that unit's batch norm.  The conv has no bias and both maps are
+    linear, so in exact arithmetic this equals pooling the input before
+    projecting it, but it pools ``pool_proj`` channels instead of
+    ``in_ch``.  Spatial size is preserved by every branch.
     """
 
     def __init__(self, name: str, in_ch: int, widths: InceptionWidths,
@@ -260,11 +263,14 @@ class InceptionBlock:
 
     def forward(self, x: T.Tensor, mode: str) -> T.Tensor:
         outs = []
-        for branch in self.branches:
-            y = T.pool2d(x, "avg", 3, 1, padding=1) if branch is self.branches[-1] else x
+        for branch in self.branches[:-1]:
+            y = x
             for unit in branch:
                 y = unit.forward(y, mode)
             outs.append(y)
+        proj = self.branches[-1][0]
+        y = T.pool2d(proj.conv.forward(x), "avg", 3, 1, padding=1)
+        outs.append(T.relu(proj.bn.forward(y, mode)))
         return T.concat_channels(outs)
 
     def _units(self) -> list:

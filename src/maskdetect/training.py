@@ -262,14 +262,14 @@ _PREFIX_CACHE_BYTES = 256 << 20
 
 def _epoch_batches(model, stop, index, config, split, rows=None, rng=None, epoch=0):
     """One epoch of ``split`` as inputs to stage ``stop``, shuffled (and,
-    on the train split, augmented) by ``rng`` when one is given.  Serves
-    the ``_memoise`` rows when given, else runs each batch through the
-    frozen stages ``[0, stop)`` in eval mode: they hold nothing
-    trainable, so train mode would give the same bits."""
+    on the train split, augmented) by ``rng`` when one is given.  Runs
+    each batch through the frozen stages ``[0, stop)`` in eval mode (they
+    hold nothing trainable, so train mode would give the same bits), or
+    only ``[stage, stop)`` over the ``_memoise`` rows (stage, xs, ys)."""
     if rows is not None:
-        xs, ys = rows
+        stage, xs, ys = rows
         for pick in batch_order(len(xs), config.batch_size, rng, epoch):
-            yield T.Tensor(xs[pick]), T.Tensor(ys[pick])
+            yield model.run(T.Tensor(xs[pick]), stage, stop), T.Tensor(ys[pick])
         return
     augment = config.augment if split == "train" else None
     stream = batches(index, split, config.batch_size, rng is not None,
@@ -279,39 +279,42 @@ def _epoch_batches(model, stop, index, config, split, rows=None, rng=None, epoch
         yield model.run(x, 0, stop), y
 
 
-def _memoise(model, stop, index, config, split):
-    """The prefix outputs and targets of every sample of ``split``, in split
-    order; None for an empty split or one past ``_PREFIX_CACHE_BYTES``."""
+def _memoise(model, stop, index, config, split, rows=None):
+    """(stop, prefix outputs, targets) of every sample of ``split``, in
+    split order, built from the images or from earlier-stage ``rows``; None
+    for an empty split or one past ``_PREFIX_CACHE_BYTES``."""
+    if rows is not None and rows[0] == stop:
+        return rows
     count = len(index.samples_for(split))
-    rows = None
+    held = None
     at = 0
-    for x, y in _epoch_batches(model, stop, index, config, split):
-        if rows is None:  # filled in place, so the budget bounds the peak too
+    for x, y in _epoch_batches(model, stop, index, config, split, rows):
+        if held is None:  # filled in place, so the budget bounds the peak too
             if x.data[0].nbytes * count > _PREFIX_CACHE_BYTES:
                 return None
-            rows = tuple(np.empty((count,) + a.shape[1:], a.dtype) for a in (x.data, y.data))
+            held = (stop,) + tuple(np.empty((count,) + a.shape[1:], a.dtype)
+                                   for a in (x.data, y.data))
         n = x.shape[0]
-        rows[0][at : at + n] = x.data
-        rows[1][at : at + n] = y.data
+        held[1][at : at + n] = x.data
+        held[2][at : at + n] = y.data
         at += n
-    return rows
+    return held
 
 
 def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_epoch,
-               on_epoch=None):
+               prefix, on_epoch=None):
     lr = config.lr_phase1 if phase == 1 else config.lr_phase2
     epochs = config.epochs_phase1 if phase == 1 else config.epochs_phase2
     optimizer = Adam(model.trainable_parameters(), lr)
     # Training starts at the first stage with a trainable parameter.  The
-    # frozen prefix before it is a pure function of an unaugmented image,
-    # so it runs once per phase over the val split (and the train split
-    # when augmentation is off); each epoch then runs only the rest.
+    # frozen prefix before it is a pure function of an unaugmented image:
+    # ``prefix`` holds each split's rows at phase 2's start stage (None
+    # past the cache), phase 1 runs only its later frozen stages over
+    # them, and each epoch then runs only the rest of the model.
     stop = model.frozen_stages()
-    val_rows = train_rows = None
-    if epochs:
-        val_rows = _memoise(model, stop, index, config, "val")
-        if config.augment is None:
-            train_rows = _memoise(model, stop, index, config, "train")
+    rows = {split: _memoise(model, stop, index, config, split, held)
+            for split, held in prefix.items()} if epochs else {}
+    train_rows, val_rows = rows.get("train"), rows.get("val")
     for k in range(epochs):
         epoch = start_epoch + k
         started = time.perf_counter()
@@ -378,12 +381,22 @@ def two_phase_train(model: Model, index: DatasetIndex, config: TrainConfig,
     best = {"acc": -1.0, "epoch": 0, "state": None}
 
     model.set_trainable("backbone", False)
+    # The stages before phase 2's start (its first unfrozen block, or the
+    # head) are frozen in both phases, so each split runs them once per
+    # run: the val split, and the train split when augmentation is off.
+    k = config.unfreeze_last_k
+    start2 = model.num_stages - (k + 2 if k else 1)
+    splits = ("val", "train") if config.augment is None else ("val",)
+    prefix = {split: _memoise(model, start2, index, config, split)
+              for split in splits} if config.total_epochs else {}
     next_epoch = _run_phase(model, index, config, 1, rng, dropout_rng, logs, best, 1,
-                            on_epoch)
+                            prefix, on_epoch)
 
-    for b in range(num_blocks - config.unfreeze_last_k + 1, num_blocks + 1):
+    for b in range(num_blocks - k + 1, num_blocks + 1):
         model.set_trainable(f"backbone.block{b}", True)
-    _run_phase(model, index, config, 2, rng, dropout_rng, logs, best, next_epoch, on_epoch)
+    assert model.frozen_stages() == start2
+    _run_phase(model, index, config, 2, rng, dropout_rng, logs, best, next_epoch, prefix,
+               on_epoch)
 
     if best["state"] is None:  # no epoch ran a validation pass
         best["state"] = capture_state(model)

@@ -55,6 +55,45 @@ def test_inception_block_preserves_spatial_size():
     assert y.shape == (1, blk.out_channels, 19, 19)
 
 
+def _random_block(dtype, seed, in_ch=16):
+    """A factorized desk-width block at ``dtype`` whose batch norms carry
+    random affine parameters and running statistics."""
+    rng = SplitMix64(seed)
+    blk = InceptionBlock("backbone.block1", in_ch, InceptionWidths(), 0.25, True, rng)
+    for unit in blk._units():
+        c = unit.out_channels
+        unit.conv.weight.data = unit.conv.weight.data.astype(dtype)
+        unit.bn.gamma.data = (np.abs(rng.normal(shape=c)) + 0.5).astype(dtype)
+        unit.bn.beta.data = rng.normal(shape=c).astype(dtype)
+        unit.bn.state.running_mean = rng.normal(std=0.1, shape=c).astype(dtype)
+        unit.bn.state.running_var = (np.abs(rng.normal(shape=c)) + 0.5).astype(dtype)
+    return blk
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_pool_branch_projects_then_pools_as_pooling_first_would(dtype, atol, mode):
+    # the projection has no bias and the pool counts its zero padding, so
+    # both maps are linear and commute; float32 sums in another order and
+    # differs in its last bits (at most 2e-6 seen over 20 seeds)
+    for seed in range(3):
+        blk = _random_block(dtype, seed)
+        x = T.Tensor(SplitMix64(100 + seed).normal(shape=(4, 16, 19, 19)).astype(dtype))
+        proj = blk.branches[-1][0]
+        got = blk.forward(x, mode).data[:, -proj.out_channels:]
+        want = proj.forward(T.pool2d(x, "avg", 3, 1, padding=1), mode).data
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= atol
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_inception_block_input_gradient_f64(mode):
+    blk = _random_block(np.float64, 7, in_ch=4)
+    x = T.Tensor(SplitMix64(8).normal(shape=(2, 4, 6, 6)))
+    s = T.Tensor(SplitMix64(9).normal(shape=(2, blk.out_channels, 6, 6)))
+    assert T.gradient_check(lambda t: (blk.forward(t, mode) * s).sum(), x) < 1e-6
+
+
 def test_forward_returns_probability_rows():
     m = _desk_model(seed=3)
     p = m.forward(_input(2, n=4), "eval")

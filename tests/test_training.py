@@ -413,6 +413,11 @@ def reference_two_phase(model, index, config):
     ({"unfreeze_last_k": 2}, 0.3, None),   # every block of the tiny backbone
     ({"epochs_phase1": 0}, 0.0, None),
     ({}, 0.3, 0),   # no cache room: every split runs its prefix per batch
+    ({"epochs_phase2": 0}, 0.0, None),
+    # room for phase 1's pooled rows (at most 24 x 144 bytes a split) but not
+    # for the block-2 inputs phase 2 starts from (7,680 bytes a row): phase 1
+    # memoises from the images and phase 2 runs its prefix per batch
+    ({}, 0.3, 4096),
 ])
 def test_two_phase_matches_full_model_reference(tmp_path, monkeypatch, overrides,
                                                 dropout_rate, cache_bytes):
@@ -450,12 +455,18 @@ def count_loads(monkeypatch):
     return loads
 
 
-def test_two_phase_loads_each_image_once_per_phase(tmp_path, monkeypatch):
+@pytest.mark.parametrize("augment", [None, AugmentConfig()], ids=["plain", "augmented"])
+def test_two_phase_loads_each_image_once_per_run(tmp_path, monkeypatch, augment):
+    # both phases share one frozen-prefix pass per split; an augmented train
+    # split is decoded and augmented anew each epoch
     index = small_corpus(tmp_path)
     loads = count_loads(monkeypatch)
     model = build_model(tiny_backbone(), HeadConfig(16, 1), seed=4)
-    two_phase_train(model, index, quick_config(epochs_phase1=3, epochs_phase2=2))
-    want = {s.path: 2 for s in index.samples if s.split in ("train", "val")}
+    config = quick_config(epochs_phase1=3, epochs_phase2=2, augment=augment)
+    two_phase_train(model, index, config)
+    per_train = 1 if augment is None else config.total_epochs
+    want = {s.path: per_train if s.split == "train" else 1
+            for s in index.samples if s.split in ("train", "val")}
     assert loads == want
 
 
