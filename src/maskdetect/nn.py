@@ -155,9 +155,6 @@ class Conv2d:
             name + ".weight", _he_uniform(rng, in_ch * kh * kw, (out_ch, in_ch, kh, kw))
         )
 
-    def forward(self, x: T.Tensor) -> T.Tensor:
-        return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-
     def parameters(self) -> list:
         return [self.weight]
 
@@ -170,6 +167,8 @@ class BatchNorm2d:
     feature extractor behaves exactly as it will at inference time.
     """
 
+    epsilon = 1e-5
+
     def __init__(self, name: str, channels: int):
         self.name = name
         self.gamma = T.Parameter(name + ".gamma", np.ones(channels, dtype=np.float32))
@@ -178,7 +177,8 @@ class BatchNorm2d:
 
     def forward(self, x: T.Tensor, mode: str) -> T.Tensor:
         effective = "train" if (mode == "train" and self.gamma.trainable) else "eval"
-        return T.batch_norm2d(x, self.gamma, self.beta, self.state, effective)
+        return T.batch_norm2d(x, self.gamma, self.beta, self.state, effective,
+                              epsilon=self.epsilon)
 
     def parameters(self) -> list:
         return [self.gamma, self.beta]
@@ -191,7 +191,16 @@ class BatchNorm2d:
 
 
 class ConvBnRelu:
-    """conv -> batch norm -> relu, the unit every backbone path is built from."""
+    """conv -> batch norm -> relu, the unit every backbone path is built from;
+    with ``pool`` a 3x3 average pool (stride 1, zeros counted) follows the conv.
+
+    A batch norm by running statistics (eval mode, or a frozen unit) is the
+    per-channel map ``s*z + beta - mu*s``, s = gamma / sqrt(var + eps).  When
+    the input needs no gradient either, ``s`` is folded into the conv weights
+    (it commutes with the pool; the shift does not), the shift and relu run
+    in place, and the result records no graph.  The fold is made anew on
+    every call and kept nowhere.
+    """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: tuple,
                  stride: int, padding, rng: SplitMix64):
@@ -199,8 +208,22 @@ class ConvBnRelu:
         self.bn = BatchNorm2d(name + ".bn", out_ch)
         self.out_channels = out_ch
 
-    def forward(self, x: T.Tensor, mode: str) -> T.Tensor:
-        return T.relu(self.bn.forward(self.conv.forward(x), mode))
+    def forward(self, x: T.Tensor, mode: str, pool: bool = False) -> T.Tensor:
+        conv, bn, weight = self.conv, self.bn, self.conv.weight
+        fold = not x.requires_grad and (
+            mode == "eval" or not any(p.trainable for p in self.parameters()))
+        if fold:
+            dt = np.result_type(x.dtype, weight.dtype)
+            s = bn.gamma.data / np.sqrt(bn.state.running_var.astype(dt) + dt.type(bn.epsilon))
+            weight = T.Tensor(weight.data * s[:, None, None, None])
+        y = T.conv2d(x, weight, stride=conv.stride, padding=conv.padding)
+        if pool:
+            y = T.pool2d(y, "avg", 3, 1, padding=1)
+        if not fold:
+            return T.relu(bn.forward(y, mode))
+        y.data += (bn.beta.data - bn.state.running_mean.astype(dt) * s)[:, None, None]
+        np.maximum(y.data, 0, out=y.data)
+        return y
 
     def parameters(self) -> list:
         return self.conv.parameters() + self.bn.parameters()
@@ -231,11 +254,12 @@ class InceptionBlock:
     ``branches`` lists the branches in output order, each a chain of
     conv+norm+relu units: 1x1, 3x3 (behind a 1x1 reduce), 5x5 (behind a
     reduce), optionally 1x7 then 7x1 (behind a reduce), and last the pool
-    branch: a 3x3 average pool (zeros counted) of a 1x1 projection, ahead
-    of that unit's batch norm.  The conv has no bias and both maps are
-    linear, so in exact arithmetic this equals pooling the input before
-    projecting it, but it pools ``pool_proj`` channels instead of
-    ``in_ch``.  Spatial size is preserved by every branch.
+    branch: a 1x1 projection unit run with its ``pool`` step, a 3x3
+    average pool (zeros counted) ahead of its batch norm.  The conv has no
+    bias and both maps are linear, so in exact arithmetic this equals
+    pooling the input before projecting it, but it pools ``pool_proj``
+    channels instead of ``in_ch``.  Spatial size is preserved by every
+    branch.
     """
 
     def __init__(self, name: str, in_ch: int, widths: InceptionWidths,
@@ -263,14 +287,11 @@ class InceptionBlock:
 
     def forward(self, x: T.Tensor, mode: str) -> T.Tensor:
         outs = []
-        for branch in self.branches[:-1]:
+        for branch in self.branches:
             y = x
             for unit in branch:
-                y = unit.forward(y, mode)
+                y = unit.forward(y, mode, pool=branch is self.branches[-1])
             outs.append(y)
-        proj = self.branches[-1][0]
-        y = T.pool2d(proj.conv.forward(x), "avg", 3, 1, padding=1)
-        outs.append(T.relu(proj.bn.forward(y, mode)))
         return T.concat_channels(outs)
 
     def _units(self) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from itertools import accumulate
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -59,7 +60,10 @@ class Adam:
 
     Moments are held in float64 and exist only for the tracked parameters;
     frozen parameters are never touched.  ``t`` advances by exactly one per
-    step.
+    step.  The tracked parameters' gradients and moments each live in one
+    flat array, so a step is one pass of ufuncs over all of them; ``m`` and
+    ``v`` map each name to its view.  Every op is elementwise, so the bits
+    are those of a step per tensor.
     """
 
     def __init__(self, params, lr: float, beta1: float = 0.9,
@@ -72,24 +76,36 @@ class Adam:
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
         self.t = 0
-        self.m = {p.name: np.zeros(p.data.shape, dtype=np.float64) for p in self.params}
-        self.v = {p.name: np.zeros(p.data.shape, dtype=np.float64) for p in self.params}
+        ends = list(accumulate(p.data.size for p in self.params))
+        self._spans = [slice(end - p.data.size, end) for p, end in zip(self.params, ends)]
+        # gradients, moments and two work rows: a step allocates no flat temporary
+        self._g, self._m, self._v, self._u, self._w = np.zeros((5, ends[-1] if ends else 0))
+        self.m = self._views(self._m)
+        self.v = self._views(self._v)
+
+    def _views(self, flat: np.ndarray) -> dict:
+        return {p.name: flat[span].reshape(p.data.shape)
+                for p, span in zip(self.params, self._spans)}
 
     def step(self) -> None:
         """One bias-corrected update from the gradients currently held."""
         self.t += 1
-        for p in self.params:
+        g, m, v, u, w = self._g, self._m, self._v, self._u, self._w
+        for p, span in zip(self.params, self._spans):
             if p.grad is None:
                 raise UsageError(f"parameter {p.name!r} has no gradient to step with")
-            g = p.grad.astype(np.float64)
-            m = self.m[p.name]
-            v = self.v[p.name]
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            update = self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-            p.data -= update.astype(p.data.dtype)
+            g[span] = p.grad.reshape(-1)
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, op for op
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=u)
+        v *= self.beta2
+        v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=u), g, out=u)
+        # lr * m_hat / (sqrt(v_hat) + eps), bias-corrected by step
+        np.multiply(np.divide(m, 1.0 - self.beta1**self.t, out=u), self.lr, out=u)
+        np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=w), out=w)
+        u /= np.add(w, self.epsilon, out=w)
+        for p, span in zip(self.params, self._spans):
+            p.data -= u[span].reshape(p.data.shape).astype(p.data.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +299,6 @@ def _memoise(model, stop, index, config, split, rows=None):
     """(stop, prefix outputs, targets) of every sample of ``split``, in
     split order, built from the images or from earlier-stage ``rows``; None
     for an empty split or one past ``_PREFIX_CACHE_BYTES``."""
-    if rows is not None and rows[0] == stop:
-        return rows
     count = len(index.samples_for(split))
     held = None
     at = 0
@@ -302,17 +316,19 @@ def _memoise(model, stop, index, config, split, rows=None):
 
 
 def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_epoch,
-               prefix, on_epoch=None):
+               prefix, prefix_stage, on_epoch=None):
     lr = config.lr_phase1 if phase == 1 else config.lr_phase2
     epochs = config.epochs_phase1 if phase == 1 else config.epochs_phase2
     optimizer = Adam(model.trainable_parameters(), lr)
     # Training starts at the first stage with a trainable parameter.  The
     # frozen prefix before it is a pure function of an unaugmented image:
-    # ``prefix`` holds each split's rows at phase 2's start stage (None
-    # past the cache), phase 1 runs only its later frozen stages over
-    # them, and each epoch then runs only the rest of the model.
+    # ``prefix`` holds each split's rows at ``prefix_stage``, phase 2's
+    # start (None past the cache, which that stage then never probes
+    # again), phase 1 runs only its later frozen stages over them, and
+    # each epoch then runs only the rest of the model.
     stop = model.frozen_stages()
-    rows = {split: _memoise(model, stop, index, config, split, held)
+    rows = {split: held if stop == prefix_stage
+            else _memoise(model, stop, index, config, split, held)
             for split, held in prefix.items()} if epochs else {}
     train_rows, val_rows = rows.get("train"), rows.get("val")
     for k in range(epochs):
@@ -390,13 +406,13 @@ def two_phase_train(model: Model, index: DatasetIndex, config: TrainConfig,
     prefix = {split: _memoise(model, start2, index, config, split)
               for split in splits} if config.total_epochs else {}
     next_epoch = _run_phase(model, index, config, 1, rng, dropout_rng, logs, best, 1,
-                            prefix, on_epoch)
+                            prefix, start2, on_epoch)
 
     for b in range(num_blocks - k + 1, num_blocks + 1):
         model.set_trainable(f"backbone.block{b}", True)
     assert model.frozen_stages() == start2
     _run_phase(model, index, config, 2, rng, dropout_rng, logs, best, next_epoch, prefix,
-               on_epoch)
+               start2, on_epoch)
 
     if best["state"] is None:  # no epoch ran a validation pass
         best["state"] = capture_state(model)

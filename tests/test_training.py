@@ -132,6 +132,31 @@ def test_adam_second_moment_nonnegative():
     assert np.all(opt.v["w"] >= 0.0)
 
 
+def test_adam_flat_step_matches_a_step_per_tensor():
+    # the update rule run tensor by tensor, as separate arrays
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
+    shapes = [(4, 3, 3, 3), (4,), (7, 5), (1,), (2, 3)]
+    rng = SplitMix64(11)
+    params = [Parameter(f"p{i}", Tensor(rng.normal(shape=shape).astype(np.float32)))
+              for i, shape in enumerate(shapes)]
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(w.shape) for w in want]
+    v = [np.zeros(w.shape) for w in want]
+    opt = Adam(params, lr=lr)
+    for t in range(1, 6):
+        for i, p in enumerate(params):
+            p.grad = rng.normal(0.0, 10.0 ** (i - 2), shape=p.data.shape).astype(np.float32)
+            g = p.grad.astype(np.float64)
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            update = lr * (m[i] / (1.0 - b1**t)) / (np.sqrt(v[i] / (1.0 - b2**t)) + eps)
+            want[i] -= update.astype(np.float32)
+        opt.step()
+        for i, p in enumerate(params):
+            assert np.array_equal(p.data, want[i]), (t, p.name)
+            assert np.array_equal(opt.m[p.name], m[i]) and np.array_equal(opt.v[p.name], v[i])
+
+
 def test_adam_rejects_negative_lr():
     with pytest.raises(ConfigError):
         Adam([], lr=-1.0)
@@ -468,6 +493,22 @@ def test_two_phase_loads_each_image_once_per_run(tmp_path, monkeypatch, augment)
     want = {s.path: per_train if s.split == "train" else 1
             for s in index.samples if s.split in ("train", "val")}
     assert loads == want
+
+
+def test_phase_two_does_not_probe_a_prefix_past_the_cache_again(tmp_path, monkeypatch):
+    # room for phase 1's pooled rows but not for phase 2's block-2 inputs:
+    # the run learns that once, so phase 2 only loads each image per epoch
+    monkeypatch.setattr(training, "_PREFIX_CACHE_BYTES", 4096)
+    index = small_corpus(tmp_path)
+    loads = count_loads(monkeypatch)
+    runs = []
+    for epochs_phase2 in (0, 2):
+        loads.clear()
+        model = build_model(tiny_backbone(), HeadConfig(16, 1), seed=4)
+        two_phase_train(model, index, quick_config(epochs_phase1=1,
+                                                   epochs_phase2=epochs_phase2))
+        runs.append(dict(loads))
+    assert runs[1] == {path: count + 2 for path, count in runs[0].items()}
 
 
 def test_train_config_defaults_and_dicts():
