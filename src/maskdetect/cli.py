@@ -107,11 +107,6 @@ class DataSection(Config):
 
 
 @dataclass(frozen=True)
-class OutputSection(Config):
-    save_best: bool = True
-
-
-@dataclass(frozen=True)
 class RunConfig(Config):
     """Everything one command reads; the JSON config file has this shape."""
 
@@ -120,7 +115,6 @@ class RunConfig(Config):
     head: HeadConfig = field(default_factory=HeadConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     detect: DetectParams = field(default_factory=DetectParams)
-    output: OutputSection = field(default_factory=OutputSection)
 
     def validate(self) -> None:
         k, blocks = self.train.unfreeze_last_k, self.backbone.num_blocks
@@ -309,8 +303,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     # test-set metrics come from the best-validation weights
     restore_state(model, result.best_state)
-    if config.output.save_best:
-        save_checkpoint(model, os.path.join(out_dir, "best.ckpt"))
+    save_checkpoint(model, os.path.join(out_dir, "best.ckpt"))
     test_result = _eval_split(model, index, "test", train_config.batch_size)
     _write_eval_outputs(
         out_dir,

@@ -160,12 +160,8 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    """Per-channel normalization layer.
-
-    When its parameters are frozen the layer normalizes by the running
-    statistics even in train mode and stops updating them, so a frozen
-    feature extractor behaves exactly as it will at inference time.
-    """
+    """Per-channel normalization parameters (gamma, beta) and running
+    statistics; :class:`ConvBnRelu` applies them."""
 
     epsilon = 1e-5
 
@@ -174,11 +170,6 @@ class BatchNorm2d:
         self.gamma = T.Parameter(name + ".gamma", np.ones(channels, dtype=np.float32))
         self.beta = T.Parameter(name + ".beta", np.zeros(channels, dtype=np.float32))
         self.state = T.BatchNormState(channels, np.float32)
-
-    def forward(self, x: T.Tensor, mode: str) -> T.Tensor:
-        effective = "train" if (mode == "train" and self.gamma.trainable) else "eval"
-        return T.batch_norm2d(x, self.gamma, self.beta, self.state, effective,
-                              epsilon=self.epsilon)
 
     def parameters(self) -> list:
         return [self.gamma, self.beta]
@@ -194,12 +185,15 @@ class ConvBnRelu:
     """conv -> batch norm -> relu, the unit every backbone path is built from;
     with ``pool`` a 3x3 average pool (stride 1, zeros counted) follows the conv.
 
-    A batch norm by running statistics (eval mode, or a frozen unit) is the
-    per-channel map ``s*z + beta - mu*s``, s = gamma / sqrt(var + eps).  When
-    the input needs no gradient either, ``s`` is folded into the conv weights
-    (it commutes with the pool; the shift does not), the shift and relu run
-    in place, and the result records no graph.  The fold is made anew on
-    every call and kept nowhere.
+    A unit trains in train mode when any of its parameters does: its batch
+    norm then normalizes by batch statistics and updates the running ones.
+    Every other call (eval mode, or the whole unit frozen) applies the
+    running statistics as the per-channel map ``s*z + beta - mu*s``,
+    s = gamma / sqrt(var + eps), folded: ``s`` scales the conv weights as a
+    constant (it commutes with the pool; the shift does not) and the shift
+    is added in place.  The result has no parameter edge, only the input's
+    when that needs a gradient.  The fold is made anew on every call and
+    kept nowhere.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: tuple,
@@ -210,18 +204,21 @@ class ConvBnRelu:
 
     def forward(self, x: T.Tensor, mode: str, pool: bool = False) -> T.Tensor:
         conv, bn, weight = self.conv, self.bn, self.conv.weight
-        fold = not x.requires_grad and (
-            mode == "eval" or not any(p.trainable for p in self.parameters()))
-        if fold:
+        trains = mode == "train" and any(p.trainable for p in self.parameters())
+        if not trains:
             dt = np.result_type(x.dtype, weight.dtype)
             s = bn.gamma.data / np.sqrt(bn.state.running_var.astype(dt) + dt.type(bn.epsilon))
             weight = T.Tensor(weight.data * s[:, None, None, None])
         y = T.conv2d(x, weight, stride=conv.stride, padding=conv.padding)
         if pool:
             y = T.pool2d(y, "avg", 3, 1, padding=1)
-        if not fold:
-            return T.relu(bn.forward(y, mode))
+        if trains:
+            return T.relu(T.batch_norm2d(y, bn.gamma, bn.beta, bn.state, "train",
+                                         epsilon=bn.epsilon))
+        # no gradient function reads the conv or pool output, so it shifts in place
         y.data += (bn.beta.data - bn.state.running_mean.astype(dt) * s)[:, None, None]
+        if y.requires_grad:
+            return T.relu(y)
         np.maximum(y.data, 0, out=y.data)
         return y
 

@@ -25,10 +25,6 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 
 GradFn = Callable[[np.ndarray], np.ndarray]
 
-# Output bytes per block of planes in avg pooling: a block's running sum
-# stays in cache while the k*k window slices are added into it.
-_POOL_BLOCK_BYTES = 1 << 17
-
 
 def _as_dtype(dtype) -> np.dtype:
     if isinstance(dtype, str):
@@ -364,25 +360,20 @@ def pool2d(x: Tensor, kind: str, k: int, stride: int, padding: int = 0) -> Tenso
 def _window_mean(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
     """Mean of every k x k window of [N,C,H,W] ``xp``, as [N,C,OH,OW].
 
-    Planes go in blocks of about ``_POOL_BLOCK_BYTES`` of output.  Each
-    block sums in place in its slice of the output: the window's first
-    shifted, strided slice of ``xp`` is copied in, the other k*k - 1 are
-    added in row-major window order, and the sum is divided by k*k once.
-    No window copy is made.
+    The sum runs in place in the output: the window's first shifted,
+    strided slice of ``xp`` is copied in, the other k*k - 1 are added in
+    row-major window order, and the sum is divided by k*k once.  No window
+    copy is made.
     """
-    n, c, hp, wp = xp.shape
-    planes = xp.reshape(n * c, hp, wp)
-    out = np.empty((n * c, oh, ow), dtype=xp.dtype)
-    step = max(1, _POOL_BLOCK_BYTES // (oh * ow * xp.itemsize))
+    n, c = xp.shape[:2]
+    out = np.empty((n, c, oh, ow), dtype=xp.dtype)
     span_h, span_w = stride * (oh - 1) + 1, stride * (ow - 1) + 1
-    for lo in range(0, n * c, step):
-        block, total = planes[lo : lo + step], out[lo : lo + step]
-        total[...] = block[:, :span_h:stride, :span_w:stride]
-        for t in range(1, k * k):
-            i, j = divmod(t, k)
-            total += block[:, i : i + span_h : stride, j : j + span_w : stride]
-        total /= k * k
-    return out.reshape(n, c, oh, ow)
+    out[...] = xp[:, :, :span_h:stride, :span_w:stride]
+    for t in range(1, k * k):
+        i, j = divmod(t, k)
+        out += xp[:, :, i : i + span_h : stride, j : j + span_w : stride]
+    out /= k * k
+    return out
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -408,7 +399,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map [N,F] @ [F,M] + [M]."""
+    """Affine map [N,F] @ [F,M] + [M].  Each row is its own [1,F] @ [F,M]
+    product, so a row's result does not depend on the rest of the batch."""
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ShapeError(f"linear: input {x.shape} and weight {weight.shape} must be rank 2")
     n, f = x.shape
@@ -419,7 +411,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear: bias {bias.shape} must be ({m},)")
     xd, wd = x.data, weight.data
     return _node(
-        xd @ wd + bias.data,
+        np.matmul(xd[:, None, :], wd)[:, 0, :] + bias.data,
         (x, lambda g: g @ wd.T),
         (weight, lambda g: xd.T @ g),
         (bias, lambda g: g.sum(axis=0)),

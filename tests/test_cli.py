@@ -117,9 +117,9 @@ def test_every_scalar_leaf_has_a_flag():
     for dotted in ("train.epochs_phase1", "train.epochs_phase2",
                    "backbone.width_mult", "backbone.widths.b1x1",
                    "head.hidden_units", "data.split_seed",
-                   "detect.scale_factor", "output.save_best"):
+                   "detect.scale_factor"):
         assert dotted in leaves
-    assert len(leaves) == 33
+    assert len(leaves) == 32
     # list-valued leaves stay config-file only
     assert "data.ratios" not in leaves
     assert "backbone.stem_channels" not in leaves

@@ -2,7 +2,8 @@
 
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 import pytest
@@ -244,6 +245,19 @@ def _json_paths(node, prefix=()):
             yield from _json_paths(child, prefix + (key,))
 
 
+def _empty_as_defaults(data, cls):
+    """``data`` with each object given as {} replaced by the defaults of
+    the config class at its place: a missing key takes its class default."""
+    if not (isinstance(data, dict) and is_dataclass(cls)):
+        return data
+    if not data:
+        return cls().to_dict()
+    hints = typing.get_type_hints(cls)
+    section = lambda hint: next((a for a in typing.get_args(hint) if is_dataclass(a)), hint)
+    return {key: _empty_as_defaults(value, section(hints.get(key)))
+            for key, value in data.items()}
+
+
 def test_config_fuzz_decodes_or_raises_config_error():
     rng = SplitMix64(31)
     paths = list(_json_paths(default_config().to_dict()))
@@ -265,6 +279,7 @@ def test_config_fuzz_decodes_or_raises_config_error():
             assert str(exc).startswith("config validation failed:")
             outcomes["rejected"] += 1
         else:
-            assert config.to_dict() == data  # accepted input echoes unchanged
+            # accepted input echoes unchanged, but for an object given as {}
+            assert config.to_dict() == _empty_as_defaults(data, RunConfig)
             outcomes["decoded"] += 1
     assert outcomes["decoded"] > 0 and outcomes["rejected"] > 0

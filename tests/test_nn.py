@@ -96,19 +96,48 @@ def test_inception_block_input_gradient_f64(mode):
     assert T.gradient_check(lambda t: (blk.forward(t, mode) * s).sum(), x) < 1e-6
 
 
+def _graph_reference(blk, x):
+    """``blk``'s eval output by the graph ops, nothing folded: each unit a
+    conv (then the pool, on the pool branch), batch_norm2d by running
+    statistics, then relu."""
+    outs = []
+    for branch in blk.branches:
+        y = x
+        for unit in branch:
+            conv, bn = unit.conv, unit.bn
+            y = T.conv2d(y, conv.weight, stride=conv.stride, padding=conv.padding)
+            if branch is blk.branches[-1]:
+                y = T.pool2d(y, "avg", 3, 1, padding=1)
+            y = T.relu(T.batch_norm2d(y, bn.gamma, bn.beta, bn.state, "eval",
+                                      epsilon=bn.epsilon))
+        outs.append(y)
+    return T.concat_channels(outs).data
+
+
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 2e-6), (np.float64, 1e-13)])
 def test_folded_eval_block_matches_the_graph_path(dtype, rtol):
-    # an input that needs a gradient takes the graph path: conv, then
-    # batch_norm2d in eval mode, then relu; without one the batch norm is
-    # folded into the conv.  Largest float32 error over 20 seeds: 5.0e-7
+    # the fold scales the conv weights and shifts once, where the graph ops
+    # normalize the conv output.  Largest float32 error over 20 seeds: 5.0e-7
     # of the largest output
     for seed in range(3):
         blk = _random_block(dtype, seed)
-        x = SplitMix64(100 + seed).normal(shape=(4, 16, 19, 19)).astype(dtype)
-        got = blk.forward(T.Tensor(x), "eval").data
-        want = blk.forward(T.Tensor(x, requires_grad=True), "eval").data
+        x = T.Tensor(SplitMix64(100 + seed).normal(shape=(4, 16, 19, 19)).astype(dtype))
+        got = blk.forward(x, "eval").data
+        want = _graph_reference(blk, x)
         assert got.dtype == dtype
         assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_block_bits_do_not_depend_on_the_input_gradient(dtype):
+    # an eval unit runs folded whether or not its input needs a gradient
+    for seed in range(3):
+        blk = _random_block(dtype, seed)
+        x = SplitMix64(100 + seed).normal(shape=(4, 16, 19, 19)).astype(dtype)
+        plain = blk.forward(T.Tensor(x), "eval")
+        tracked = blk.forward(T.Tensor(x, requires_grad=True), "eval")
+        assert not plain.requires_grad and tracked.requires_grad
+        assert plain.data.tobytes() == tracked.data.tobytes()
 
 
 def test_eval_forward_of_a_trainable_backbone_records_no_graph():
@@ -119,9 +148,16 @@ def test_eval_forward_of_a_trainable_backbone_records_no_graph():
         y = m.run(y, k, k + 1)
         assert not y.requires_grad and y._parents == (), k
     logits = m.run(y, m.num_stages - 1)
-    targets = np.zeros((4, 3), dtype=np.float32)
-    targets[np.arange(4), [0, 1, 2, 0]] = 1.0
-    T.softmax_cross_entropy(logits, T.Tensor(targets)).backward()
+    targets = T.Tensor(np.eye(3, dtype=np.float32)[[0, 1, 2, 0]])
+    T.softmax_cross_entropy(logits, targets).backward()
+    for p in m.parameters():
+        assert (p.grad is None) == p.name.startswith("backbone."), p.name
+    # an input that needs a gradient gets one through the folded units, and
+    # the backbone parameters still get none
+    m.zero_grad()
+    x = T.Tensor(_input(3, n=4).data, requires_grad=True)
+    T.softmax_cross_entropy(m.forward_logits(x), targets).backward()
+    assert x.grad is not None and np.abs(x.grad).max() > 0
     for p in m.parameters():
         assert (p.grad is None) == p.name.startswith("backbone."), p.name
 
@@ -166,13 +202,17 @@ def test_eval_forward_is_deterministic():
 
 
 def test_eval_features_do_not_depend_on_the_batch():
-    # every conv is one GEMM per sample, so a crop's features are the same
-    # bits whether it is classified alone or in a batch
+    # every conv is one GEMM per sample and the head one product per row, so
+    # a crop's features and logits are the same bits whether it is
+    # classified alone or in a batch
     m = _desk_model()
     x = _input(8, n=14)
     batch = m.features(x).data
+    logits = m.forward_logits(x).data
     for i in range(14):
-        assert np.array_equal(m.features(T.Tensor(x.data[i : i + 1])).data, batch[i : i + 1])
+        one = T.Tensor(x.data[i : i + 1])
+        assert np.array_equal(m.features(one).data, batch[i : i + 1])
+        assert m.forward_logits(one).data.tobytes() == logits[i : i + 1].tobytes()
 
 
 def test_head_layer_count_and_zero_hidden():
@@ -283,6 +323,19 @@ def test_frozen_normalization_uses_running_stats_in_train_mode():
     assert all(np.array_equal(s, arr) for s, (_, arr) in zip(snapshot, m.buffers()))
     eval_out = m.features(x, "eval")
     assert np.array_equal(frozen_train.data, eval_out.data)
+
+
+def test_a_unit_with_only_its_batch_norm_frozen_trains_with_batch_statistics():
+    # a unit is frozen only when none of its parameters trains; this one's
+    # conv weight still does, so its batch norm uses batch statistics
+    m = _desk_model(seed=7)
+    assert m.set_trainable("backbone.stem.0.bn", False) == 2
+    unit = m.stem[0]
+    before = [arr.copy() for _, arr in unit.buffers()]
+    m.features(_input(7, n=4), "train").sum().backward()
+    assert all(not np.array_equal(b, arr) for b, (_, arr) in zip(before, unit.buffers()))
+    assert unit.conv.weight.grad is not None and np.abs(unit.conv.weight.grad).max() > 0
+    assert unit.bn.gamma.grad is None and unit.bn.beta.grad is None
 
 
 # -- mode handling -----------------------------------------------------------------

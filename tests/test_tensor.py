@@ -209,20 +209,6 @@ def test_avg_pool_is_bitwise_the_row_major_window_sum(dtype, nonfinite):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_avg_pool_bits_do_not_depend_on_the_block_size(dtype, monkeypatch):
-    # one plane per block and every plane in one block add the same slices
-    # in the same order
-    def pool_all(block_bytes):
-        monkeypatch.setattr(T, "_POOL_BLOCK_BYTES", block_bytes)
-        with np.errstate(invalid="ignore"):
-            return [T.pool2d(T.Tensor(x), "avg", k, stride, padding).data
-                    for k, stride, padding, x in _avg_pool_grid(dtype, True)]
-
-    for case, (one, all_) in enumerate(zip(pool_all(1), pool_all(1 << 30))):
-        _assert_same_bits(one, all_, case)
-
-
 def _peak_bytes(run):
     """Result of ``run()`` and the peak bytes traced while it ran."""
     tracemalloc.start()
