@@ -92,7 +92,7 @@ _USAGE_ERRORS = (ConfigError, UsageError, InputError, ParameterError)
 
 
 # ---------------------------------------------------------------------------
-# run configuration: one dataclass, overlaid by the config file then flags
+# run configuration: one dataclass; the config file, then flags, lie over its defaults
 # ---------------------------------------------------------------------------
 
 
@@ -133,19 +133,10 @@ def config_leaves(config: RunConfig) -> dict:
     return {dotted: value for dotted, (_, value) in scalar_leaves(config).items()}
 
 
-def _overlay(base: dict, top: dict) -> None:
-    """Merge ``top`` into ``base`` in place, object by object."""
-    for key, value in top.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _overlay(base[key], value)
-        else:
-            base[key] = value
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults <- config file <- dotted flags, decoded once with every
-    problem listed."""
-    config = default_config().to_dict()
+    """Config file <- dotted flags, decoded once over the defaults with
+    every problem listed."""
+    config = {}
     path = getattr(args, "config", None)
     if path is not None:
         try:
@@ -153,10 +144,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raw = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read config file: {exc}") from None
-        file_config = read_json(raw, ConfigError, f"{path}: invalid JSON")
-        if not isinstance(file_config, dict):
+        config = read_json(raw, ConfigError, f"{path}: invalid JSON")
+        if not isinstance(config, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        _overlay(config, file_config)
 
     problems = []
     flags = vars(args)
@@ -171,7 +161,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             continue
         node = config
         for section in dotted.split(".")[:-1]:
-            node = node.get(section) if isinstance(node, dict) else node
+            node = node.setdefault(section, {}) if isinstance(node, dict) else node
         if isinstance(node, dict):
             node[dotted.rsplit(".", 1)[1]] = value
         elif node is None:

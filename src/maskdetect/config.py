@@ -10,6 +10,10 @@ on every section whose fields are well typed, even when a section nested
 in it failed its own ``validate()``, so checks that span sections are
 reported together with the rest.
 
+The codec is the one place that knows defaults: a section decodes over the
+default value at its place (its class default where that is ``None``), so
+a key left out keeps its default and ``{}`` means the section left out.
+
 Every JSON file the package reads is decoded by :func:`read_json`, and
 every indented JSON file it writes goes through :func:`write_json`.
 """
@@ -20,7 +24,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 from .errors import ConfigError
 
@@ -38,10 +42,12 @@ class Config:
 
     @classmethod
     def from_dict(cls, data, problems=()):
-        """Decode ``data``, or raise one :class:`ConfigError` listing every
+        """Decode ``data`` over ``cls()`` (a class with a required field:
+        over nothing), or raise one :class:`ConfigError` listing every
         problem, starting with the ``problems`` the caller already found."""
         problems = list(problems)
-        config = _decode(cls, data, "", problems)
+        required = any(f.default is MISSING and f.default_factory is MISSING for f in fields(cls))
+        config = _decode_fields(cls, data, "", problems, None if required else cls())
         if problems:
             raise ConfigError("config validation failed:\n  " + "\n  ".join(problems))
         return config
@@ -56,17 +62,18 @@ def encode(value):
     return value
 
 
-def _decode(hint, value, path: str, problems: list):
-    """Check ``value`` against ``hint``, appending any problems.  Returns
+def _decode(hint, value, path: str, problems: list, default=None):
+    """Check ``value`` against ``hint``, appending any problems; a section
+    decodes over ``default``, the default value at its place.  Returns
     ``_BAD`` when the value (or a part of it) is not of its hinted type."""
     if is_dataclass(hint):
-        return _decode_fields(hint, value, path, problems)
+        return _decode_fields(hint, value, path, problems, hint() if default is None else default)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None:
             return None
         (inner,) = [a for a in args if a is not type(None)]
-        return _decode(inner, value, path, problems)
+        return _decode(inner, value, path, problems, default)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             problems.append(f"{path}: expected a list, got {value!r}")
@@ -95,7 +102,7 @@ def _decode(hint, value, path: str, problems: list):
     return value
 
 
-def _decode_fields(cls, data, path: str, problems: list):
+def _decode_fields(cls, data, path: str, problems: list, default):
     if not isinstance(data, dict):
         problems.append(f"{path or 'config'}: expected an object, got {data!r}")
         return _BAD
@@ -105,7 +112,7 @@ def _decode_fields(cls, data, path: str, problems: list):
     for key, value in data.items():
         where = f"{path}.{key}" if path else str(key)
         if key in hints:
-            kwargs[key] = _decode(hints[key], value, where, problems)
+            kwargs[key] = _decode(hints[key], value, where, problems, getattr(default, key, None))
             well_typed = well_typed and kwargs[key] is not _BAD
         else:
             problems.append(f"unknown config key: {where}")
@@ -114,7 +121,7 @@ def _decode_fields(cls, data, path: str, problems: list):
         return _BAD
     config = _BAD  # stays so when construction itself (a __post_init__ check) fails
     try:
-        config = cls(**kwargs)
+        config = cls(**kwargs) if default is None else replace(default, **kwargs)
         if hasattr(config, "validate"):
             config.validate()
     except ConfigError as exc:

@@ -652,7 +652,7 @@ def batch_order(count: int, batch_size: int, rng: SplitMix64 | None = None,
 def _batch_stream(samples, batch_size, shuffle, augment_config, rng, image_size, epoch):
     for pick in batch_order(len(samples), batch_size, rng if shuffle else None, epoch):
         xs = np.empty((len(pick), 3, image_size, image_size), dtype=np.float32)
-        ys = np.zeros((len(pick), 3), dtype=np.float32)
+        ys = np.zeros((len(pick), len(LABEL_NAMES)), dtype=np.float32)
         for row, i in enumerate(pick):
             sample = samples[i]
             image = load_ppm(sample.path)

@@ -27,7 +27,7 @@ __all__ = [
     "render_report",
 ]
 
-_NUM_CLASSES = 3
+_NUM_CLASSES = len(LABEL_NAMES)
 
 
 @dataclass

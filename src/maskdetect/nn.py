@@ -1,6 +1,7 @@
 """Classifier architecture: a small inception-style backbone with batch
 normalization everywhere, global average pooling, and a configurable
-fully-connected head ending in a 3-way softmax.
+fully-connected head ending in a 3-way softmax.  The input is RGB and
+the classes are the three of ``data.LABEL_NAMES``; neither is configurable.
 
 Two backbone profiles matter in practice: the full profile (299x299 input,
 width multiplier 1.0) and the desk profile returned by
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import Config
+from .data import LABEL_NAMES
 from .errors import ConfigError, ParameterError, ShapeError, UsageError
 from .rng import SplitMix64
 
@@ -77,7 +79,6 @@ class BackboneConfig(Config):
     """
 
     input_size: int = 299
-    in_channels: int = 3
     width_mult: float = 1.0
     stem_channels: tuple[int, ...] = (32, 32, 64)
     stem_strides: tuple[int, ...] = (2, 1, 2)
@@ -88,8 +89,6 @@ class BackboneConfig(Config):
     def validate(self) -> None:
         if not 8 <= self.input_size <= 1024:
             raise ConfigError(f"input_size must be in [8, 1024], got {self.input_size}")
-        if self.in_channels != 3:  # the images are RGB
-            raise ConfigError(f"in_channels must be 3, got {self.in_channels}")
         if not 0 < self.width_mult <= 4:
             raise ConfigError(f"width_mult must be in (0, 4], got {self.width_mult}")
         if len(self.stem_channels) != len(self.stem_strides) or not self.stem_channels:
@@ -125,7 +124,6 @@ class HeadConfig(Config):
     hidden_units: int = 128
     hidden_layers: int = 2
     dropout_rate: float = 0.5
-    num_classes: int = 3
 
     def validate(self) -> None:
         if not 0 <= self.hidden_layers <= 8:
@@ -136,8 +134,6 @@ class HeadConfig(Config):
             raise ConfigError(f"hidden_units must be <= 4096, got {self.hidden_units}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.num_classes != 3:  # the labels are the three face states
-            raise ConfigError(f"num_classes must be 3, got {self.num_classes}")
 
 
 # -- layers -----------------------------------------------------------------------
@@ -322,7 +318,7 @@ class Model:
 
         bc = backbone_config
         self.stem = []
-        in_ch = bc.in_channels
+        in_ch = 3  # RGB
         for i, (ch, stride) in enumerate(zip(bc.stem_channels, bc.stem_strides)):
             out_ch = _scaled(ch, bc.width_mult)
             self.stem.append(
@@ -343,7 +339,7 @@ class Model:
         for i in range(1, hc.hidden_layers + 1):
             self.fcs.append(Linear(f"head.fc{i}", f_in, hc.hidden_units, rng))
             f_in = hc.hidden_units
-        self.out = Linear("head.out", f_in, hc.num_classes, rng)
+        self.out = Linear("head.out", f_in, len(LABEL_NAMES), rng)
         self.dropout_rate = hc.dropout_rate
 
         names = [p.name for p in self.parameters()]
@@ -353,11 +349,9 @@ class Model:
 
     def _check_input(self, x: T.Tensor) -> None:
         bc = self.backbone_config
-        if x.data.ndim != 4 or x.shape[1] != bc.in_channels or \
-                x.shape[2] != bc.input_size or x.shape[3] != bc.input_size:
+        if x.shape[1:] != (3, bc.input_size, bc.input_size):
             raise ShapeError(
-                f"model input must be [N,{bc.in_channels},{bc.input_size},{bc.input_size}], "
-                f"got {x.shape}"
+                f"model input must be [N,3,{bc.input_size},{bc.input_size}], got {x.shape}"
             )
         if x.dtype != np.float32:
             raise ParameterError(f"model input must be float32, got {x.dtype}")

@@ -11,7 +11,13 @@ import pytest
 
 from maskdetect import checkpoint
 from maskdetect import tensor as T
-from maskdetect.checkpoint import load_checkpoint, load_into, read_header, save_checkpoint
+from maskdetect.checkpoint import (
+    FORMAT_VERSION,
+    load_checkpoint,
+    load_into,
+    read_header,
+    save_checkpoint,
+)
 from maskdetect.cli import main
 from maskdetect.data import synth_dataset
 from maskdetect.errors import CheckpointError
@@ -63,11 +69,14 @@ def test_saved_bytes_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-# SHA-256 of the seed-0 desk model as first saved: it pins the SplitMix64
-# draw order of the initial weights, the parameter names and the manifest
-# order.  Init and save use no BLAS, so it should not depend on the numpy build.
+# SHA-256 of the seed-0 desk model as saved: it pins the SplitMix64 draw
+# order of the initial weights, the parameter names and the manifest order.
+# Init and save use no BLAS, so it should not depend on the numpy build.
+INITIAL_DESK_V3_SHA256 = "72070012964375848d532b2422cb2f5f6be96075ae2867558b00587dbcc3f015"
+# the same model saved in format 2, whose header also held backbone.in_channels
+# and head.num_classes (both always 3)
 INITIAL_DESK_SHA256 = "989400c3190c49390878bcc5b7e8f03d937db9f23c0cf20c150abe8f9a644e84"
-# the same model saved in format 1, which held a zero bias for every conv
+# the same model saved in format 1, which held a zero bias for every conv as well
 INITIAL_DESK_V1_SHA256 = "ffec5ed025a1bbc03febc4fd3bd106f4d298b8be0036ecc009a198acd2ebdaff"
 # SHA-256 over each parameter's name, then its <f4 bytes, in model order: the
 # weights drawn from the init stream, whatever file format holds them
@@ -78,12 +87,14 @@ def test_initial_desk_weights_match_the_golden_hash(tmp_path):
     path = tmp_path / "init.ckpt"
     model = build_model(desk_backbone(), HeadConfig(), seed=0)
     save_checkpoint(model, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_V3_SHA256
     names = [e["name"] for e in read_header(path)["entries"]]
     assert not [n for n in names if n.endswith(".conv.bias")]
     assert len(names) == 105 + 2 * 33  # parameters, then two buffers per batch norm
-    assert path.stat().st_size == 152_250
-    # the helper below writes what format 1 wrote for the same model
+    assert path.stat().st_size == 152_218
+    # the helpers below write what formats 2 and 1 wrote for the same model
+    _save_version_2(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_SHA256
     _save_version_1(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_V1_SHA256
 
@@ -96,9 +107,20 @@ def test_initial_desk_weights_drawn_from_the_init_stream_are_pinned():
     assert digest.hexdigest() == INITIAL_DESK_WEIGHTS_SHA256
 
 
-def _save_version_1(model, path):
-    """Write ``model`` as format 1 did: a zero ``.conv.bias`` after each conv weight."""
+def _save_version_2(model, path):
+    """Write ``model`` as format 2 did: with ``in_channels`` and ``num_classes`` keys."""
+    def mutate(header):
+        header["backbone"]["in_channels"] = header["head"]["num_classes"] = 3
+        header["format_version"] = 2
+        return header
     save_checkpoint(model, path)
+    _rewrite_header(path, path, mutate)
+
+
+def _save_version_1(model, path):
+    """Write ``model`` as format 1 did: format 2 with a zero ``.conv.bias``
+    after each conv weight."""
+    _save_version_2(model, path)
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[4:8])
     header, payload = json.loads(raw[8 : 8 + hlen]), raw[8 + hlen :]
@@ -123,8 +145,10 @@ def _version(value):
     return mutate
 
 
-# format 1 held conv biases; a bool, or a float equal to a version, is no version
-BAD_VERSIONS = {"true": True, "one_point_zero": 1.0, "two_point_zero": 2.0, "version_1": 1}
+# format 1 held conv biases, format 2 the fixed channel and class counts;
+# a bool, or a float equal to a version, is no version
+BAD_VERSIONS = {"true": True, "one_point_zero": 1.0, "two_point_zero": 2.0,
+                "three_point_zero": 3.0, "version_1": 1, "version_2": 2}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VERSIONS))
@@ -133,10 +157,13 @@ def test_unsupported_format_version_is_refused(tmp_path, case, capsys):
     model, bad = _model(seed=1), tmp_path / "bad.ckpt"
     if case == "version_1":
         _save_version_1(model, bad)
+    elif case == "version_2":
+        _save_version_2(model, bad)
     else:
         save_checkpoint(model, tmp_path / "good.ckpt")
         _rewrite_header(tmp_path / "good.ckpt", bad, _version(version))
-    named = f"format version {version!r} is not supported, this build reads version 2"
+    named = (f"format version {version!r} is not supported, "
+             f"this build reads version {FORMAT_VERSION}")
     with pytest.raises(CheckpointError, match=named):
         load_checkpoint(bad)
     before = [p.data.copy() for p in model.parameters()]
@@ -159,7 +186,7 @@ def test_header_layout(tmp_path):
     assert raw[:4] == b"MPC1"
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + hlen])
-    assert header["format_version"] == 2
+    assert header["format_version"] == 3
     kinds = {e["kind"] for e in header["entries"]}
     assert kinds == {"param", "buffer"}
     n_params = sum(1 for e in header["entries"] if e["kind"] == "param")

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from maskdetect.checkpoint import load_checkpoint, save_checkpoint
+from maskdetect.checkpoint import load_checkpoint, read_header, save_checkpoint
 from maskdetect.cascade import DetectionBox, load_cascade_xml, save_cascade_json
 from maskdetect.cli import (
     CLASS_COLORS,
@@ -119,7 +119,7 @@ def test_every_scalar_leaf_has_a_flag():
                    "head.hidden_units", "data.split_seed",
                    "detect.scale_factor"):
         assert dotted in leaves
-    assert len(leaves) == 32
+    assert len(leaves) == 30
     # list-valued leaves stay config-file only
     assert "data.ratios" not in leaves
     assert "backbone.stem_channels" not in leaves
@@ -285,12 +285,27 @@ def test_config_precedence_flags_beat_file(corpus, tiny_config, tmp_path):
     assert echo["train"]["epochs_phase2"] == 0       # flag beat file's 1
     assert echo["train"]["epochs_phase1"] == 1       # file beat default 40
     assert echo["backbone"]["input_size"] == 32      # file beat default 75
-    assert echo["head"]["num_classes"] == 3          # untouched default
+    assert echo["backbone"]["widths"]["b1x1"] == 32  # untouched default
     # the echoed config is itself a valid config file
     rerun = tmp_path / "rerun"
     code = main(["train", "--data", str(corpus), "--out", str(rerun),
                  "--config", str(out / "config.json")])
     assert code == 0
+
+
+def test_flag_into_a_section_the_file_leaves_out_takes_effect(corpus, tiny_config, tmp_path):
+    assert "data" not in TINY_CONFIG and "widths" not in TINY_CONFIG["backbone"]
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(corpus), "--out", str(out),
+                 "--config", str(tiny_config),
+                 "--train.epochs_phase1", "0", "--train.epochs_phase2", "0",
+                 "--data.split_seed", "5", "--backbone.widths.b1x1", "8"])
+    assert code == 0
+    echo = json.loads((out / "config.json").read_text())
+    assert echo["data"]["split_seed"] == 5 and echo["backbone"]["widths"]["b1x1"] == 8
+    assert echo["backbone"]["input_size"] == 32 and echo["backbone"]["widths"]["b3x3"] == 48
+    assert json.loads((out / "split.json").read_text())["seed"] == 5
+    assert read_header(out / "final.ckpt")["backbone"]["widths"]["b1x1"] == 8
 
 
 def test_unknown_config_keys_all_listed(corpus, tmp_path, capsys):
@@ -326,18 +341,6 @@ def test_config_not_utf8_exits_two(corpus, tmp_path, capsys):
                  "--config", str(bad)])
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("section,key,value", [("head", "num_classes", "4"),
-                                               ("backbone", "in_channels", "1")])
-def test_class_and_channel_counts_other_than_three_exit_two(corpus, tiny_config, tmp_path,
-                                                            capsys, section, key, value):
-    out = tmp_path / "r"
-    code = main(["train", "--data", str(corpus), "--out", str(out),
-                 "--config", str(tiny_config), f"--{section}.{key}", value])
-    assert code == 2
-    assert f"{section}: {key} must be 3, got {value}" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())  # neither config.json nor split.json
 
 
 def test_flag_into_disabled_section_exits_two(corpus, tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import json
 import os
-import typing
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
@@ -106,6 +105,26 @@ def test_widths_and_stem_channels_must_be_positive():
                                          "stem_channels": [0, -3, 4]})
     assert "widths: every width must be >= 1, got {'b1x1': -5, 'b3x3': 0}" in message
     assert "stem_channels must be >= 1, got (0, -3, 4)" in message
+
+
+EMPTY_SECTIONS = [("data",), ("backbone",), ("head",), ("train",), ("detect",),
+                  ("train", "augment"), ("backbone", "widths")]
+
+
+@pytest.mark.parametrize("place", EMPTY_SECTIONS, ids=".".join)
+def test_a_section_given_as_empty_decodes_like_one_left_out(place):
+    data = {}
+    node = data
+    for key in place:
+        node = node.setdefault(key, {})
+    assert RunConfig.from_dict(data) == RunConfig.from_dict({}) == default_config()
+
+
+def test_a_section_given_in_part_keeps_the_other_defaults_of_its_place():
+    config = RunConfig.from_dict({"backbone": {"num_blocks": 2, "factorized_blocks": [2]}})
+    assert config.backbone.input_size == 75 and config.backbone.width_mult == 0.25
+    # below a section that defaults to None, a missing key takes its class default
+    assert Outer.from_dict({"maybe": {"flag": True}}).maybe == Inner(flag=True)
 
 
 def test_top_level_must_be_an_object():
@@ -245,16 +264,14 @@ def _json_paths(node, prefix=()):
             yield from _json_paths(child, prefix + (key,))
 
 
-def _empty_as_defaults(data, cls):
-    """``data`` with each object given as {} replaced by the defaults of
-    the config class at its place: a missing key takes its class default."""
-    if not (isinstance(data, dict) and is_dataclass(cls)):
+def _empty_as_defaults(data, default):
+    """``data`` with each object given as {} replaced by ``default``'s value
+    at its place: a missing key takes the default config's value there."""
+    if not (isinstance(data, dict) and is_dataclass(default)):
         return data
     if not data:
-        return cls().to_dict()
-    hints = typing.get_type_hints(cls)
-    section = lambda hint: next((a for a in typing.get_args(hint) if is_dataclass(a)), hint)
-    return {key: _empty_as_defaults(value, section(hints.get(key)))
+        return default.to_dict()
+    return {key: _empty_as_defaults(value, getattr(default, key, None))
             for key, value in data.items()}
 
 
@@ -280,6 +297,6 @@ def test_config_fuzz_decodes_or_raises_config_error():
             outcomes["rejected"] += 1
         else:
             # accepted input echoes unchanged, but for an object given as {}
-            assert config.to_dict() == _empty_as_defaults(data, RunConfig)
+            assert config.to_dict() == _empty_as_defaults(data, default_config())
             outcomes["decoded"] += 1
     assert outcomes["decoded"] > 0 and outcomes["rejected"] > 0

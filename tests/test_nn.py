@@ -386,8 +386,6 @@ def test_config_validation_errors():
         HeadConfig(hidden_layers=-1).validate()
     with pytest.raises(ConfigError):
         HeadConfig(dropout_rate=1.0).validate()
-    with pytest.raises(ConfigError):
-        HeadConfig(num_classes=1).validate()
 
 
 MODEL_SIZE_BOUNDS = [
