@@ -32,7 +32,6 @@ from .tensor import (
 from .nn import (
     BackboneConfig,
     HeadConfig,
-    InceptionWidths,
     Model,
     build_model,
     desk_backbone,
@@ -122,8 +121,7 @@ __all__ = [
     "concat_channels", "dropout", "batch_norm2d", "softmax",
     "softmax_cross_entropy",
     # model
-    "BackboneConfig", "HeadConfig", "InceptionWidths", "Model",
-    "build_model", "desk_backbone",
+    "BackboneConfig", "HeadConfig", "Model", "build_model", "desk_backbone",
     # data
     "Label", "LABEL_NAMES", "SPLIT_NAMES", "Sample", "DatasetIndex",
     "AugmentConfig", "scan_dataset", "split_dataset", "synth_dataset",

@@ -24,7 +24,7 @@ from .errors import CheckpointError, ConfigError
 from .nn import BackboneConfig, HeadConfig, Model
 
 MAGIC = b"MPC1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def save_checkpoint(model: Model, path) -> None:

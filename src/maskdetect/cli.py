@@ -432,7 +432,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if json_out is None:
         stem, _ = os.path.splitext(os.fspath(args.out))
         json_out = stem + ".json"
-    if os.path.abspath(json_out) == os.path.abspath(args.out):
+    if os.path.realpath(json_out) == os.path.realpath(args.out):
         raise UsageError(f"the --json-out file would overwrite the --out image {args.out!r}")
     config = load_config(args)
     image = load_ppm(args.image)

@@ -209,6 +209,13 @@ def check_split_ratios(ratios) -> tuple[float, float, float]:
     return ratios
 
 
+def _unsplit_copy(index: DatasetIndex, seed: int, ratios: tuple) -> DatasetIndex:
+    """``index`` with fresh, unassigned samples, for a split by ``seed`` and ``ratios``."""
+    return DatasetIndex(samples=[Sample(s.path, s.label) for s in index.samples],
+                        seed=seed, ratios=ratios, warnings=list(index.warnings),
+                        source_counts={k: dict(v) for k, v in index.source_counts.items()})
+
+
 def split_dataset(
     index: DatasetIndex,
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
@@ -222,13 +229,7 @@ def split_dataset(
     order as the input, only with ``split`` filled in.
     """
     ratios = check_split_ratios(ratios)
-    out = DatasetIndex(
-        samples=[Sample(s.path, s.label) for s in index.samples],
-        seed=seed,
-        ratios=ratios,
-        warnings=list(index.warnings),
-        source_counts={k: dict(v) for k, v in index.source_counts.items()},
-    )
+    out = _unsplit_copy(index, seed, ratios)
     root_rng = SplitMix64(seed)
     for label in Label:
         positions = [i for i, s in enumerate(out.samples) if s.label == label]
@@ -318,13 +319,7 @@ def apply_split_manifest(index: DatasetIndex, manifest) -> DatasetIndex:
     if isinstance(manifest, (str, os.PathLike)):
         manifest = load_split_manifest(os.fspath(manifest))
     splits = {os.path.normpath(path): split for path, split in manifest["splits"].items()}
-    out = DatasetIndex(
-        samples=[Sample(s.path, s.label) for s in index.samples],
-        seed=manifest["seed"],
-        ratios=tuple(manifest["ratios"]),
-        warnings=list(index.warnings),
-        source_counts={k: dict(v) for k, v in index.source_counts.items()},
-    )
+    out = _unsplit_copy(index, manifest["seed"], tuple(manifest["ratios"]))
     for s, key in zip(out.samples, _manifest_keys(index)):
         if key not in splits:
             key = os.path.normpath(s.path)

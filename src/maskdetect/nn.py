@@ -1,7 +1,9 @@
 """Classifier architecture: a small inception-style backbone with batch
 normalization everywhere, global average pooling, and a configurable
-fully-connected head ending in a 3-way softmax.  The input is RGB and
-the classes are the three of ``data.LABEL_NAMES``; neither is configurable.
+fully-connected head ending in a 3-way softmax.  The input is RGB, the
+classes are the three of ``data.LABEL_NAMES`` and the inception branch
+widths are fixed (:data:`_BRANCHES`, scaled only by the width
+multiplier); none of these is configurable.
 
 Two backbone profiles matter in practice: the full profile (299x299 input,
 width multiplier 1.0) and the desk profile returned by
@@ -16,7 +18,7 @@ unfreeze machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -42,35 +44,14 @@ def _he_uniform(rng: SplitMix64, fan_in: int, shape: tuple) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class InceptionWidths(Config):
-    """Output channels of each branch of one inception block (before the
-    width multiplier is applied), each in [1, 1024]."""
-
-    b1x1: int = 32
-    b3x3_reduce: int = 24
-    b3x3: int = 48
-    b5x5_reduce: int = 16
-    b5x5: int = 24
-    b7x7_reduce: int = 16
-    b7x7: int = 24
-    pool_proj: int = 16
-
-    def validate(self) -> None:
-        bad = {name: width for name, width in self.to_dict().items() if width < 1}
-        if bad:
-            raise ConfigError(f"every width must be >= 1, got {bad}")
-        big = {name: width for name, width in self.to_dict().items() if width > 1024}
-        if big:
-            raise ConfigError(f"every width must be <= 1024, got {big}")
-
-
-@dataclass(frozen=True)
 class BackboneConfig(Config):
     """Shape of the convolutional feature extractor.
 
     The stem is a chain of 3x3 conv+norm+relu units (first one stride 2);
     after it come ``num_blocks`` inception blocks.  Blocks listed in
-    ``factorized_blocks`` (1-based) carry the extra 1x7/7x1 branch.
+    ``factorized_blocks`` (1-based) carry the extra 1x7/7x1 branch.  The
+    branch widths are fixed (:data:`_BRANCHES`); ``width_mult`` scales them
+    and the stem's.
 
     Sizes have upper bounds, so a config file, flag or checkpoint header
     cannot ask for an unbounded model: ``input_size`` in [8, 1024],
@@ -84,7 +65,6 @@ class BackboneConfig(Config):
     stem_strides: tuple[int, ...] = (2, 1, 2)
     num_blocks: int = 4
     factorized_blocks: tuple[int, ...] = (2, 4)
-    widths: InceptionWidths = field(default_factory=InceptionWidths)
 
     def validate(self) -> None:
         if not 8 <= self.input_size <= 1024:
@@ -241,40 +221,45 @@ class Linear:
         return [self.weight, self.bias]
 
 
+# The branches of an inception block in output order, each a chain of
+# units given as (name, output channels before the width multiplier,
+# kernel, padding).  The widths are part of the architecture, as fixed as
+# its topology; only ``width_mult`` scales them.
+_BRANCHES = (
+    (("b1x1", 32, (1, 1), 0),),
+    (("b3x3.reduce", 24, (1, 1), 0), ("b3x3.conv", 48, (3, 3), 1)),
+    (("b5x5.reduce", 16, (1, 1), 0), ("b5x5.conv", 24, (5, 5), 2)),
+    (("b7x7.reduce", 16, (1, 1), 0), ("b7x7.row", 24, (1, 7), (0, 3)),
+     ("b7x7.col", 24, (7, 1), (3, 0))),
+    (("pool.proj", 16, (1, 1), 0),),
+)
+
+
 class InceptionBlock:
     """Parallel conv branches concatenated along channels.
 
-    ``branches`` lists the branches in output order, each a chain of
-    conv+norm+relu units: 1x1, 3x3 (behind a 1x1 reduce), 5x5 (behind a
-    reduce), optionally 1x7 then 7x1 (behind a reduce), and last the pool
-    branch: a 1x1 projection unit run with its ``pool`` step, a 3x3
-    average pool (zeros counted) ahead of its batch norm.  The conv has no
-    bias and both maps are linear, so in exact arithmetic this equals
-    pooling the input before projecting it, but it pools ``pool_proj``
-    channels instead of ``in_ch``.  Spatial size is preserved by every
-    branch.
+    ``branches`` lists the branches of :data:`_BRANCHES` in output order,
+    each a chain of conv+norm+relu units: 1x1, 3x3 (behind a 1x1 reduce),
+    5x5 (behind a reduce), 1x7 then 7x1 (behind a reduce; ``factorized``
+    blocks only), and last the pool branch: a 1x1 projection unit run with
+    its ``pool`` step, a 3x3 average pool (zeros counted) ahead of its
+    batch norm.  The conv has no bias and both maps are linear, so in
+    exact arithmetic this equals pooling the input before projecting it,
+    but it pools the projection's channels instead of ``in_ch``.  Spatial
+    size is preserved by every branch.
     """
 
-    def __init__(self, name: str, in_ch: int, widths: InceptionWidths,
-                 mult: float, factorized: bool, rng: SplitMix64):
-        s = lambda v: _scaled(v, mult)
-        unit = lambda suffix, cin, cout, kernel, padding: ConvBnRelu(
-            f"{name}.{suffix}", cin, cout, kernel, 1, padding, rng)
-        r3, r5, r7 = s(widths.b3x3_reduce), s(widths.b5x5_reduce), s(widths.b7x7_reduce)
-        # units are built, and so draw their weights, in list order
-        self.branches = [
-            [unit("b1x1", in_ch, s(widths.b1x1), (1, 1), 0)],
-            [unit("b3x3.reduce", in_ch, r3, (1, 1), 0),
-             unit("b3x3.conv", r3, s(widths.b3x3), (3, 3), 1)],
-            [unit("b5x5.reduce", in_ch, r5, (1, 1), 0),
-             unit("b5x5.conv", r5, s(widths.b5x5), (5, 5), 2)],
-        ]
-        if factorized:
-            c7 = s(widths.b7x7)
-            self.branches.append([unit("b7x7.reduce", in_ch, r7, (1, 1), 0),
-                                  unit("b7x7.row", r7, c7, (1, 7), (0, 3)),
-                                  unit("b7x7.col", c7, c7, (7, 1), (3, 0))])
-        self.branches.append([unit("pool.proj", in_ch, s(widths.pool_proj), (1, 1), 0)])
+    def __init__(self, name: str, in_ch: int, mult: float, factorized: bool, rng: SplitMix64):
+        self.branches = []
+        for spec in _BRANCHES:
+            if spec[0][0].startswith("b7x7") and not factorized:
+                continue
+            branch, cin = [], in_ch
+            for suffix, width, kernel, padding in spec:  # units draw weights in table order
+                branch.append(ConvBnRelu(f"{name}.{suffix}", cin, _scaled(width, mult),
+                                         kernel, 1, padding, rng))
+                cin = branch[-1].out_channels
+            self.branches.append(branch)
         self.b1 = self.branches[0][0]
         self.out_channels = sum(branch[-1].out_channels for branch in self.branches)
 
@@ -327,7 +312,7 @@ class Model:
             in_ch = out_ch
         self.blocks = []
         for b in range(1, bc.num_blocks + 1):
-            block = InceptionBlock(f"backbone.block{b}", in_ch, bc.widths, bc.width_mult,
+            block = InceptionBlock(f"backbone.block{b}", in_ch, bc.width_mult,
                                    b in bc.factorized_blocks, rng)
             self.blocks.append(block)
             in_ch = block.out_channels

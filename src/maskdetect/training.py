@@ -298,21 +298,20 @@ def _epoch_batches(model, stop, index, config, split, rows=None, rng=None, epoch
 def _memoise(model, stop, index, config, split, rows=None):
     """(stop, prefix outputs, targets) of every sample of ``split``, in
     split order, built from the images or from earlier-stage ``rows``; None
-    for an empty split or one past ``_PREFIX_CACHE_BYTES``."""
+    for an empty split or one past ``_PREFIX_CACHE_BYTES``, as the output
+    of one zero row (or one of ``rows``) tells before any image is loaded."""
     count = len(index.samples_for(split))
-    held = None
-    at = 0
+    size = model.backbone_config.input_size
+    stage, xs = rows[:2] if rows else (0, np.zeros((1, 3, size, size), np.float32))
+    row = model.run(T.Tensor(xs[:1]), stage, stop).data[0]
+    if not count or row.nbytes * count > _PREFIX_CACHE_BYTES:
+        return None
+    held, ys, at = np.empty((count,) + row.shape, row.dtype), [], 0  # filled in place
     for x, y in _epoch_batches(model, stop, index, config, split, rows):
-        if held is None:  # filled in place, so the budget bounds the peak too
-            if x.data[0].nbytes * count > _PREFIX_CACHE_BYTES:
-                return None
-            held = (stop,) + tuple(np.empty((count,) + a.shape[1:], a.dtype)
-                                   for a in (x.data, y.data))
-        n = x.shape[0]
-        held[1][at : at + n] = x.data
-        held[2][at : at + n] = y.data
-        at += n
-    return held
+        held[at : at + x.shape[0]] = x.data
+        at += x.shape[0]
+        ys.append(y.data)
+    return stop, held, np.concatenate(ys)
 
 
 def _run_phase(model, index, config, phase, rng, dropout_rng, logs, best, start_epoch,

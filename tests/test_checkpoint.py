@@ -72,6 +72,9 @@ def test_saved_bytes_are_deterministic(tmp_path):
 # SHA-256 of the seed-0 desk model as saved: it pins the SplitMix64 draw
 # order of the initial weights, the parameter names and the manifest order.
 # Init and save use no BLAS, so it should not depend on the numpy build.
+INITIAL_DESK_V4_SHA256 = "f2b9101e5a0627ba7630853fcfd27d17aada5439bcc6bd1d7a0f284aca09317a"
+# the same model saved in format 3, whose header also held backbone.widths
+# (the inception branch widths, always the fixed ones)
 INITIAL_DESK_V3_SHA256 = "72070012964375848d532b2422cb2f5f6be96075ae2867558b00587dbcc3f015"
 # the same model saved in format 2, whose header also held backbone.in_channels
 # and head.num_classes (both always 3)
@@ -87,12 +90,14 @@ def test_initial_desk_weights_match_the_golden_hash(tmp_path):
     path = tmp_path / "init.ckpt"
     model = build_model(desk_backbone(), HeadConfig(), seed=0)
     save_checkpoint(model, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_V3_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_V4_SHA256
     names = [e["name"] for e in read_header(path)["entries"]]
     assert not [n for n in names if n.endswith(".conv.bias")]
     assert len(names) == 105 + 2 * 33  # parameters, then two buffers per batch norm
-    assert path.stat().st_size == 152_218
-    # the helpers below write what formats 2 and 1 wrote for the same model
+    assert path.stat().st_size == 152_101  # format 3 held 117 bytes more: backbone.widths
+    # the helpers below write what formats 3, 2 and 1 wrote for the same model
+    _save_version_3(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_V3_SHA256
     _save_version_2(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_DESK_SHA256
     _save_version_1(model, path)
@@ -107,13 +112,29 @@ def test_initial_desk_weights_drawn_from_the_init_stream_are_pinned():
     assert digest.hexdigest() == INITIAL_DESK_WEIGHTS_SHA256
 
 
+# backbone.widths of formats 1 to 3: the fixed branch widths, by branch
+FORMAT_3_WIDTHS = {"b1x1": 32, "b3x3_reduce": 24, "b3x3": 48, "b5x5_reduce": 16, "b5x5": 24,
+                   "b7x7_reduce": 16, "b7x7": 24, "pool_proj": 16}
+
+
+def _save_version_3(model, path):
+    """Write ``model`` as format 3 did: with a ``backbone.widths`` object."""
+    def mutate(header):
+        header["backbone"]["widths"] = FORMAT_3_WIDTHS
+        header["format_version"] = 3
+        return header
+    save_checkpoint(model, path)
+    _rewrite_header(path, path, mutate)
+
+
 def _save_version_2(model, path):
-    """Write ``model`` as format 2 did: with ``in_channels`` and ``num_classes`` keys."""
+    """Write ``model`` as format 2 did: format 3 with ``in_channels`` and
+    ``num_classes`` keys."""
     def mutate(header):
         header["backbone"]["in_channels"] = header["head"]["num_classes"] = 3
         header["format_version"] = 2
         return header
-    save_checkpoint(model, path)
+    _save_version_3(model, path)
     _rewrite_header(path, path, mutate)
 
 
@@ -145,20 +166,21 @@ def _version(value):
     return mutate
 
 
-# format 1 held conv biases, format 2 the fixed channel and class counts;
-# a bool, or a float equal to a version, is no version
+# format 1 held conv biases, format 2 the fixed channel and class counts,
+# format 3 the fixed branch widths; a bool, or a float equal to a version,
+# is no version
 BAD_VERSIONS = {"true": True, "one_point_zero": 1.0, "two_point_zero": 2.0,
-                "three_point_zero": 3.0, "version_1": 1, "version_2": 2}
+                "three_point_zero": 3.0, "version_1": 1, "version_2": 2, "version_3": 3}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VERSIONS))
 def test_unsupported_format_version_is_refused(tmp_path, case, capsys):
     version = BAD_VERSIONS[case]
     model, bad = _model(seed=1), tmp_path / "bad.ckpt"
-    if case == "version_1":
-        _save_version_1(model, bad)
-    elif case == "version_2":
-        _save_version_2(model, bad)
+    saves = {"version_1": _save_version_1, "version_2": _save_version_2,
+             "version_3": _save_version_3}
+    if case in saves:
+        saves[case](model, bad)
     else:
         save_checkpoint(model, tmp_path / "good.ckpt")
         _rewrite_header(tmp_path / "good.ckpt", bad, _version(version))
@@ -186,7 +208,8 @@ def test_header_layout(tmp_path):
     assert raw[:4] == b"MPC1"
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + hlen])
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
+    assert "widths" not in header["backbone"]
     kinds = {e["kind"] for e in header["entries"]}
     assert kinds == {"param", "buffer"}
     n_params = sum(1 for e in header["entries"] if e["kind"] == "param")
@@ -354,11 +377,12 @@ def test_bad_architecture_is_checkpoint_error(tmp_path):
         header["backbone"]["num_blocks"] = 0
         return header
 
-    def negative_width(header):
-        header["backbone"]["widths"]["b1x1"] = -5
+    def negative_stem(header):
+        header["backbone"]["stem_channels"][0] = -5
         return header
 
-    for mutate, named in ((zero_blocks, "num_blocks"), (negative_width, "width must be >= 1")):
+    for mutate, named in ((zero_blocks, "num_blocks"),
+                          (negative_stem, "stem_channels must be >= 1")):
         _rewrite_header(good, bad, mutate)
         with pytest.raises(CheckpointError, match=named):
             load_checkpoint(bad)

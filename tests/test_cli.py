@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from maskdetect.checkpoint import load_checkpoint, read_header, save_checkpoint
+from maskdetect.checkpoint import load_checkpoint, save_checkpoint
 from maskdetect.cascade import DetectionBox, load_cascade_xml, save_cascade_json
 from maskdetect.cli import (
     CLASS_COLORS,
@@ -115,11 +115,11 @@ def test_every_scalar_leaf_has_a_flag():
     leaves = config_leaves(default_config())
     # spot-check the documented override plus one per section
     for dotted in ("train.epochs_phase1", "train.epochs_phase2",
-                   "backbone.width_mult", "backbone.widths.b1x1",
+                   "backbone.width_mult", "train.augment.rotation_max_deg",
                    "head.hidden_units", "data.split_seed",
                    "detect.scale_factor"):
         assert dotted in leaves
-    assert len(leaves) == 30
+    assert len(leaves) == 22
     # list-valued leaves stay config-file only
     assert "data.ratios" not in leaves
     assert "backbone.stem_channels" not in leaves
@@ -285,7 +285,7 @@ def test_config_precedence_flags_beat_file(corpus, tiny_config, tmp_path):
     assert echo["train"]["epochs_phase2"] == 0       # flag beat file's 1
     assert echo["train"]["epochs_phase1"] == 1       # file beat default 40
     assert echo["backbone"]["input_size"] == 32      # file beat default 75
-    assert echo["backbone"]["widths"]["b1x1"] == 32  # untouched default
+    assert echo["train"]["lr_phase1"] == 1e-3        # untouched default
     # the echoed config is itself a valid config file
     rerun = tmp_path / "rerun"
     code = main(["train", "--data", str(corpus), "--out", str(rerun),
@@ -293,19 +293,21 @@ def test_config_precedence_flags_beat_file(corpus, tiny_config, tmp_path):
     assert code == 0
 
 
-def test_flag_into_a_section_the_file_leaves_out_takes_effect(corpus, tiny_config, tmp_path):
-    assert "data" not in TINY_CONFIG and "widths" not in TINY_CONFIG["backbone"]
+def test_flag_into_a_section_the_file_leaves_out_takes_effect(corpus, tmp_path):
+    train = {k: v for k, v in TINY_CONFIG["train"].items() if k != "augment"}
+    config = tmp_path / "no-augment.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train": train}))
+    assert "data" not in TINY_CONFIG
     out = tmp_path / "run"
-    code = main(["train", "--data", str(corpus), "--out", str(out),
-                 "--config", str(tiny_config),
+    code = main(["train", "--data", str(corpus), "--out", str(out), "--config", str(config),
                  "--train.epochs_phase1", "0", "--train.epochs_phase2", "0",
-                 "--data.split_seed", "5", "--backbone.widths.b1x1", "8"])
+                 "--data.split_seed", "5", "--train.augment.rotation_max_deg", "5"])
     assert code == 0
     echo = json.loads((out / "config.json").read_text())
-    assert echo["data"]["split_seed"] == 5 and echo["backbone"]["widths"]["b1x1"] == 8
-    assert echo["backbone"]["input_size"] == 32 and echo["backbone"]["widths"]["b3x3"] == 48
+    assert echo["data"]["split_seed"] == 5 and echo["train"]["augment"]["rotation_max_deg"] == 5
+    assert echo["train"]["augment"]["zoom_range"] == [0.9, 1.1]  # untouched default
+    assert echo["train"]["batch_size"] == 8                        # from the file
     assert json.loads((out / "split.json").read_text())["seed"] == 5
-    assert read_header(out / "final.ckpt")["backbone"]["widths"]["b1x1"] == 8
 
 
 def test_unknown_config_keys_all_listed(corpus, tmp_path, capsys):
@@ -727,8 +729,9 @@ def test_annotate_no_faces_copies_image(blank_scene, train_run, tmp_path):
 @pytest.mark.parametrize("out, json_out", [
     ("faces.json", None),           # the default JSON path is --out with .json
     ("a.ppm", "a.ppm"),
-    ("./a.ppm", "a.ppm"),           # compared as absolute paths
+    ("./a.ppm", "a.ppm"),           # compared as resolved paths
     ("sub/../a.ppm", "./a.ppm"),
+    ("link/a.ppm", "sub/a.ppm"),    # the same file through a symlink
 ])
 def test_annotate_same_path_for_both_outputs_exits_two(tmp_path, monkeypatch, capsys,
                                                       out, json_out):
@@ -736,12 +739,13 @@ def test_annotate_same_path_for_both_outputs_exits_two(tmp_path, monkeypatch, ca
     # before any file is read, and nothing is written
     monkeypatch.chdir(tmp_path)
     os.mkdir("sub")
+    os.symlink("sub", "link")
     argv = ["annotate", "--image", "none.ppm", "--cascade", "none.xml",
             "--checkpoint", "none.ckpt", "--out", out]
     code = main(argv + (["--json-out", json_out] if json_out else []))
     assert code == 2
     assert "the --json-out file would overwrite the --out image" in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["sub"] and not os.listdir("sub")
+    assert sorted(os.listdir(tmp_path)) == ["link", "sub"] and not os.listdir("sub")
 
 
 # -- drawing and classification helpers -----------------------------------------------

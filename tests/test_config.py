@@ -100,15 +100,13 @@ def test_all_problems_are_reported_together():
     assert "head: dropout_rate must be in [0, 1)" in message
 
 
-def test_widths_and_stem_channels_must_be_positive():
-    message = _problems(BackboneConfig, {"input_size": 32, "widths": {"b1x1": -5, "b3x3": 0},
-                                         "stem_channels": [0, -3, 4]})
-    assert "widths: every width must be >= 1, got {'b1x1': -5, 'b3x3': 0}" in message
+def test_stem_channels_must_be_positive():
+    message = _problems(BackboneConfig, {"input_size": 32, "stem_channels": [0, -3, 4]})
     assert "stem_channels must be >= 1, got (0, -3, 4)" in message
 
 
 EMPTY_SECTIONS = [("data",), ("backbone",), ("head",), ("train",), ("detect",),
-                  ("train", "augment"), ("backbone", "widths")]
+                  ("train", "augment")]
 
 
 @pytest.mark.parametrize("place", EMPTY_SECTIONS, ids=".".join)
@@ -156,7 +154,7 @@ BAD_CONFIGS = [
     ({"train": {"batch_size": "16"}}, "train.batch_size"),
     ({"train": {"augment": {"zoom_range": 5}}}, "train.augment.zoom_range"),
     ({"backbone": {"stem_channels": 5}}, "backbone.stem_channels"),
-    ({"backbone": {"widths": {"b1x1": "a"}}}, "backbone.widths.b1x1"),
+    ({"train": {"augment": {"rotation_max_deg": "a"}}}, "train.augment.rotation_max_deg"),
     ({"head": {"hidden_units": None}}, "head.hidden_units"),
     ({"data": {"ratios": "abc"}}, "data.ratios"),
     ({"data": {"split_seed": "x"}}, "data.split_seed"),

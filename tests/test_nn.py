@@ -11,7 +11,6 @@ from maskdetect.nn import (
     BackboneConfig,
     HeadConfig,
     InceptionBlock,
-    InceptionWidths,
     Model,
     build_model,
     desk_backbone,
@@ -51,7 +50,7 @@ def test_full_profile_dimensions():
 
 def test_inception_block_preserves_spatial_size():
     rng = SplitMix64(5)
-    blk = InceptionBlock("backbone.block1", 16, InceptionWidths(), 0.25, True, rng)
+    blk = InceptionBlock("backbone.block1", 16, 0.25, True, rng)
     x = T.Tensor(SplitMix64(1).normal(shape=(1, 16, 19, 19)).astype(np.float32))
     y = blk.forward(x, "eval")
     assert y.shape == (1, blk.out_channels, 19, 19)
@@ -61,7 +60,7 @@ def _random_block(dtype, seed, in_ch=16):
     """A factorized desk-width block at ``dtype`` whose batch norms carry
     random affine parameters and running statistics."""
     rng = SplitMix64(seed)
-    blk = InceptionBlock("backbone.block1", in_ch, InceptionWidths(), 0.25, True, rng)
+    blk = InceptionBlock("backbone.block1", in_ch, 0.25, True, rng)
     for unit in blk._units():
         c = unit.out_channels
         unit.conv.weight.data = unit.conv.weight.data.astype(dtype)
@@ -392,8 +391,6 @@ MODEL_SIZE_BOUNDS = [
     (BackboneConfig, "input_size", 1024, 1025),
     (BackboneConfig, "width_mult", 4.0, 4.01),
     (BackboneConfig, "stem_channels", (1024, 32, 64), (32, 1025, 64)),
-    (InceptionWidths, "b1x1", 1024, 1025),
-    (InceptionWidths, "pool_proj", 1024, 1025),
     (BackboneConfig, "num_blocks", 16, 17),
     (HeadConfig, "hidden_units", 4096, 4097),
     (HeadConfig, "hidden_layers", 8, 9),

@@ -497,7 +497,8 @@ def test_two_phase_loads_each_image_once_per_run(tmp_path, monkeypatch, augment)
 
 def test_phase_two_does_not_probe_a_prefix_past_the_cache_again(tmp_path, monkeypatch):
     # room for phase 1's pooled rows but not for phase 2's block-2 inputs:
-    # the run learns that once, so phase 2 only loads each image per epoch
+    # the stage's output shape tells the run so before it loads an image,
+    # so phase 1's one pass loads each image once, and phase 2 once per epoch
     monkeypatch.setattr(training, "_PREFIX_CACHE_BYTES", 4096)
     index = small_corpus(tmp_path)
     loads = count_loads(monkeypatch)
@@ -508,7 +509,8 @@ def test_phase_two_does_not_probe_a_prefix_past_the_cache_again(tmp_path, monkey
         two_phase_train(model, index, quick_config(epochs_phase1=1,
                                                    epochs_phase2=epochs_phase2))
         runs.append(dict(loads))
-    assert runs[1] == {path: count + 2 for path, count in runs[0].items()}
+    assert runs[0] == {s.path: 1 for s in index.samples if s.split in ("train", "val")}
+    assert runs[1] == {path: 3 for path in runs[0]}
 
 
 def test_train_config_defaults_and_dicts():
