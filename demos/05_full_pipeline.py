@@ -88,8 +88,8 @@ with tempfile.TemporaryDirectory(prefix="maskdemo_") as work:
     print(f"{len(boxes)} face region(s) proposed")
 
     annotated = scene.copy()
-    for box in sorted(boxes, key=lambda b: b.x):
-        klass, confidence = classify_crop(model, scene, box)
+    boxes = sorted(boxes, key=lambda b: b.x)
+    for box, (klass, confidence) in zip(boxes, classify_crop(model, scene, boxes)):
         draw_rectangle(annotated, box.x, box.y, box.w, box.h, CLASS_COLORS[klass])
         print(f"  box ({box.x},{box.y},{box.w},{box.h}) -> "
               f"{LABEL_NAMES[klass]} ({confidence:.2f})")

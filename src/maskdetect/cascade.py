@@ -9,6 +9,7 @@ until the final variance normalization.
 
 from __future__ import annotations
 
+import itertools
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -20,11 +21,14 @@ import numpy as np
 from .config import Config, read_json, write_json
 from .errors import CascadeFormatError, InputError, ParameterError
 
+# group_boxes tests IoU > 3/10 in integers, as 13·inter > 3·(A + B)
 IOU_GROUPING_THRESHOLD = 0.3
 # bound on the pyramid: the default scale_factor 1.1 needs about 32 scales at 640x480
 MAX_SCALES = 1000
 # bound on a base-window side: OpenCV's frontal-face cascades use 20 to 24 px
 MAX_BASE_WINDOW = 1000
+# candidate rows per chunk of group_boxes' neighbour search: bounds its memory
+_GROUP_CHUNK = 1 << 16
 
 
 # -- pixels and integral tables ---------------------------------------------------
@@ -324,6 +328,164 @@ def iou(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def _fill_min_table(table: np.ndarray, lo: int, hi: int) -> None:
+    """Bring levels 1 and up of a sparse min table up to date after level 0
+    changed over ``[lo, hi)``: ``table[k, p]`` is the min of level 0 over
+    ``[p, p + 2**k)``, for every such range inside the table."""
+    for k in range(1, len(table)):
+        half = 1 << (k - 1)
+        start, stop = max(0, lo - 2 * half + 1), min(hi, table.shape[1] - 2 * half + 1)
+        if stop > start:
+            np.minimum(table[k - 1, start:stop], table[k - 1, start + half:stop + half],
+                       out=table[k, start:stop])
+
+
+def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The min of level 0 over each non-empty ``[lo, hi)``: two overlapping
+    power-of-two ranges."""
+    k = np.frexp(hi - lo)[1] - 1
+    return np.minimum(table[k, lo], table[k, hi - np.left_shift(1, k)])
+
+
+def _lower(target: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
+    """``target[a] = min(target[a], values at a)`` for the sorted ``at``."""
+    if at.size:
+        first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
+        at = at[first]
+        target[at] = np.minimum(target[at], np.minimum.reduceat(values, first))
+
+
+def _expand(owner: np.ndarray, count: np.ndarray, first: np.ndarray) -> tuple:
+    """Each ``owner`` repeated ``count`` times, beside the consecutive
+    integers from its ``first``."""
+    owner = np.repeat(owner, count)
+    ends = np.cumsum(count)
+    return owner, np.arange(owner.size) + np.repeat(first - ends + count, count)
+
+
+def _founders(x, y, w, h) -> np.ndarray:
+    """For each box, the index of the box that started its cluster.
+
+    The rule: a box joins the lowest-numbered cluster holding an earlier
+    box with IoU above 0.3, so its founder is ``m(i) = min(i, min of m(j)
+    over i's earlier neighbours j)``.  IoU > 0.3 is ``13·inter > 3·(A + B)``
+    in integers, which decides as the float64 ``inter / union > 0.3`` does
+    for any union below about 10**15: a ratio other than 3/10 differs from
+    0.3 by at least 1 / (10·union).
+
+    One stable sort by (size, y, x) cuts the boxes into runs of one size
+    and rows of one y; detect's raw boxes are already in that order.  For a
+    box and a run whose area ratio can pass, each row within reach holds
+    the box's neighbours in one exact x-interval, found with
+    ``searchsorted``.  ``m`` takes the min over each interval from a sparse
+    min table, so the work grows with the box-row pairs, not with the
+    neighbour pairs.  Boxes go in list order, in chunks of about
+    ``_GROUP_CHUNK`` candidate rows that are also consecutive in sorted
+    order.  The table holds the final ``m`` of earlier chunks and ``n`` for
+    the rest; inside a chunk, ``m`` iterates to the fixpoint, each round
+    also jumping ``m(i)`` to ``m(m(i))``.
+    """
+    n = len(x)
+    order = np.lexsort((x, y, h, w))
+    at = np.empty(n, dtype=np.int64)  # each box's sorted position
+    at[order] = np.arange(n)
+    sx, sy, sw, sh = x[order], y[order], w[order], h[order]
+    run_start = np.r_[True, (sw[1:] != sw[:-1]) | (sh[1:] != sh[:-1])]
+    row_start = np.flatnonzero(run_start | np.r_[True, sy[1:] != sy[:-1]])
+    run_first = np.flatnonzero(run_start)
+    run_of = np.cumsum(run_start) - 1
+    row_len = np.diff(np.r_[row_start, n])
+    row_y, row_run = sy[row_start], run_of[row_start]
+    # the earliest list index in each row and run: one whose boxes all come
+    # after box i holds no earlier neighbour of i
+    row_earliest = np.minimum.reduceat(order, row_start)
+    run_earliest = np.minimum.reduceat(order, run_first)
+    # boxes keyed (row, x) and rows keyed (run, y), both sorted
+    x0, y0 = x.min(), y.min()
+    x_span, y_span = x.max() - x0 + 1, y.max() - y0 + 1
+    box_key = np.repeat(np.arange(row_start.size), row_len) * x_span + (sx - x0)
+    row_key = row_run * y_span + (row_y - y0)
+    # IoU is at most the smaller area over the larger, so a partner run has
+    # 10·min > 3·max: a window of the runs sorted by area
+    run_w, run_h = sw[run_first], sh[run_first]
+    run_area = run_w * run_h
+    sized = (run_w > 0) & (run_h > 0)
+    by_area = np.flatnonzero(sized)[np.argsort(run_area[sized], kind="stable")]
+    areas = run_area[by_area]
+    window_lo = np.searchsorted(areas, 3 * run_area // 10 + 1)
+    window_hi = np.where(sized, np.searchsorted(areas, (10 * run_area - 1) // 3, "right"),
+                         window_lo)
+    rows_before = np.r_[0, np.cumsum(np.bincount(row_run)[by_area])]
+    size_of = run_of[at]
+    reach = np.cumsum((rows_before[window_hi] - rows_before[window_lo])[size_of])
+
+    def intervals(a, b):
+        """(i, lo, hi) for the boxes i in [a, b): i's neighbours in one row
+        are the sorted positions lo to hi - 1, less any later than i."""
+        run = size_of[a:b]
+        i, k = _expand(np.arange(a, b), window_hi[run] - window_lo[run], window_lo[run])
+        run = by_area[k]
+        keep = run_earliest[run] < i
+        i, run = i[keep], run[keep]
+        w2, h2 = run_w[run], run_h[run]
+        limit = 3 * (w[i] * h[i] + run_area[run])
+        need_y = limit // (13 * np.minimum(w[i], w2)) + 1
+        y_lo = np.maximum(y[i] - h2 + need_y, y0)
+        y_hi = np.minimum(y[i] + h[i] - need_y, y0 + y_span - 1)
+        keep = (need_y <= np.minimum(h[i], h2)) & (y_lo <= y_hi)
+        i, run, w2, h2, limit = i[keep], run[keep], w2[keep], h2[keep], limit[keep]
+        first = np.searchsorted(row_key, run * y_span + (y_lo[keep] - y0))
+        count = np.searchsorted(row_key, run * y_span + (y_hi[keep] - y0), "right") - first
+        t, row = _expand(np.arange(i.size), count, first)
+        keep = row_earliest[row] < i[t]
+        t, row = t[keep], row[keep]
+        i, w2, h2, limit = i[t], w2[t], h2[t], limit[t]
+        iy = np.minimum(y[i] + h[i], row_y[row] + h2) - np.maximum(y[i], row_y[row])
+        need_x = limit // (13 * iy) + 1
+        x_lo = np.maximum(x[i] - w2 + need_x, x0)
+        x_hi = np.minimum(x[i] + w[i] - need_x, x0 + x_span - 1)
+        keep = (need_x <= np.minimum(w[i], w2)) & (x_lo <= x_hi)
+        i, row = i[keep], row[keep]
+        lo = np.searchsorted(box_key, row * x_span + (x_lo[keep] - x0))
+        hi = np.searchsorted(box_key, row * x_span + (x_hi[keep] - x0), "right")
+        keep = lo < hi
+        return i[keep], lo[keep], hi[keep]
+
+    levels = int(row_len.max()).bit_length()
+    table = np.full((levels, n), n, dtype=np.int64)
+    stops = np.r_[np.flatnonzero(at[1:] != at[:-1] + 1) + 1, n]
+    founder = np.arange(n)
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(reach, (reach[a - 1] if a else 0) + _GROUP_CHUNK,
+                                           "right")))
+        b = min(b, int(stops[np.searchsorted(stops, a, "right")]))
+        i, lo, hi = intervals(a, b)
+        labels = np.arange(a, b)
+        _lower(labels, i - a, _range_min(table, lo, hi))
+        # the chunk's own boxes before i, at sorted positions [start, at[i])
+        start = at[a]
+        lo, hi = np.maximum(lo, start), np.minimum(hi, at[i])
+        inside = lo < hi
+        i, lo, hi = i[inside] - a, lo[inside] - start, hi[inside] - start
+        if i.size:
+            local = np.empty((levels, b - a), dtype=np.int64)
+            while True:
+                local[0] = labels
+                _fill_min_table(local, 0, b - a)
+                new = labels.copy()
+                _lower(new, i, _range_min(local, lo, hi))
+                in_chunk = new >= a
+                new[in_chunk] = np.minimum(new[in_chunk], new[new[in_chunk] - a])
+                if np.array_equal(new, labels):
+                    break
+                labels = new
+        founder[a:b] = table[0, start:start + b - a] = labels
+        _fill_min_table(table, start, start + b - a)
+        a = b
+    return founder
+
+
 def group_boxes(boxes: list, min_neighbors: int) -> list:
     """Greedy clustering of raw windows into detections.
 
@@ -332,41 +494,31 @@ def group_boxes(boxes: list, min_neighbors: int) -> list:
     starts a new one.  Clusters smaller than ``min_neighbors`` are
     dropped.  The cluster's box is the member mean (clamped so rounding
     cannot leave the members' span) and its score is the best member
-    score.
+    score.  Coordinates are integers; :func:`_founders` says how the
+    clusters are found.
     """
-    bx, by, bw, bh = np.array([b[:4] for b in boxes]).reshape(-1, 4).T
-    right, bottom, area = bx + bw, by + bh, bw * bh
-    labels = np.empty(len(boxes), dtype=np.intp)
-    clusters: list[list[DetectionBox]] = []
-    for i, box in enumerate(boxes):
-        # this box's IoU with every earlier box, computed as ``iou`` does
-        ix = np.maximum(0, np.minimum(right[i], right[:i]) - np.maximum(bx[i], bx[:i]))
-        iy = np.maximum(0, np.minimum(bottom[i], bottom[:i]) - np.maximum(by[i], by[:i]))
-        inter = ix * iy
-        union = area[i] + area[:i] - inter
-        overlap = np.divide(inter, union, out=np.zeros(i), where=union > 0)
-        hits = labels[:i][overlap > IOU_GROUPING_THRESHOLD]
-        if hits.size:
-            labels[i] = hits.min()
-            clusters[labels[i]].append(box)
-        else:
-            labels[i] = len(clusters)
-            clusters.append([box])
-    grouped = []
-    for cluster in clusters:
-        if len(cluster) < max(1, min_neighbors):
-            continue
-        n = len(cluster)
-        x = int(round(sum(b.x for b in cluster) / n))
-        y = int(round(sum(b.y for b in cluster) / n))
-        w = int(round(sum(b.w for b in cluster) / n))
-        h = int(round(sum(b.h for b in cluster) / n))
-        right = max(b.x + b.w for b in cluster)
-        bottom = max(b.y + b.h for b in cluster)
-        w = min(w, right - x)
-        h = min(h, bottom - y)
-        grouped.append(DetectionBox(x, y, w, h, max(b.score for b in cluster)))
-    return grouped
+    if not boxes:
+        return []
+    fields = np.fromiter(itertools.chain.from_iterable(boxes), np.float64,
+                         5 * len(boxes)).reshape(-1, 5)
+    x, y, w, h = fields[:, :4].astype(np.int64).T
+    score = fields[:, 4]
+    founder = _founders(x, y, w, h)
+    first = np.flatnonzero(founder == np.arange(len(boxes)))
+    cluster = np.searchsorted(first, founder)
+    size = np.bincount(cluster)
+    mean_x, mean_y, mean_w, mean_h = (np.rint(np.bincount(cluster, v) / size).astype(np.int64)
+                                      for v in (x, y, w, h))
+    right, bottom = x + w, y + h
+    span_x, span_y, best = right[first], bottom[first], score[first]
+    np.maximum.at(span_x, cluster, right)
+    np.maximum.at(span_y, cluster, bottom)
+    np.maximum.at(best, cluster, score)
+    keep = size >= max(1, min_neighbors)
+    return [DetectionBox(*box) for box in zip(
+        mean_x[keep].tolist(), mean_y[keep].tolist(),
+        np.minimum(mean_w, span_x - mean_x)[keep].tolist(),
+        np.minimum(mean_h, span_y - mean_y)[keep].tolist(), best[keep].tolist())]
 
 
 def _pyramid(cascade: Cascade, params: DetectParams, width: int, height: int) -> list:

@@ -408,23 +408,25 @@ def draw_rectangle(image: np.ndarray, x: int, y: int, w: int, h: int,
     image[y0:y1, max(x1 - t, x0):x1] = color          # right
 
 
-def classify_crop(model, image: np.ndarray, box) -> tuple[int, float]:
-    """Crop a detection from a colour image and classify it.
+def classify_crop(model, image: np.ndarray, boxes) -> list[tuple[int, float]]:
+    """Crop detections from a colour image and classify them in one forward.
 
-    Returns ``(class_index, confidence)`` where confidence is the winning
-    softmax probability.  Ties go to the lowest class index via argmax.
-    """
+    Returns ``(class_index, confidence)`` per box, confidence being the winning
+    softmax probability (ties go to the lowest class index).  The eval
+    forward is batch-invariant: a box gets the bits it would get alone."""
     height, width = image.shape[:2]
-    x0, y0 = max(box.x, 0), max(box.y, 0)
-    x1, y1 = min(box.x + box.w, width), min(box.y + box.h, height)
-    if x0 >= x1 or y0 >= y1:
-        raise InputError(f"detection box {box} lies outside the image")
     size = model.backbone_config.input_size
-    crop = resize_bilinear(image[y0:y1, x0:x1], size, size)
-    batch = Tensor(normalize(crop).data[None, :, :, :])
-    probs = model.forward(batch, mode="eval").data[0]
-    klass = int(np.argmax(probs))
-    return klass, float(probs[klass])
+    crops = []
+    for box in boxes:
+        x0, y0 = max(box.x, 0), max(box.y, 0)
+        x1, y1 = min(box.x + box.w, width), min(box.y + box.h, height)
+        if x0 >= x1 or y0 >= y1:
+            raise InputError(f"detection box {box} lies outside the image")
+        crops.append(normalize(resize_bilinear(image[y0:y1, x0:x1], size, size)).data)
+    if not crops:
+        return []
+    probs = model.forward(Tensor(np.stack(crops)), mode="eval").data
+    return [(int(k), float(p[k])) for k, p in zip(probs.argmax(axis=1), probs)]
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
@@ -442,16 +444,13 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     annotated = image.copy()
     faces = []
-    for box in boxes:
-        klass, confidence = classify_crop(model, image, box)
+    step = config.train.batch_size
+    labels = [label for k in range(0, len(boxes), step)
+              for label in classify_crop(model, image, boxes[k:k + step])]
+    for box, (klass, confidence) in zip(boxes, labels):
         draw_rectangle(annotated, box.x, box.y, box.w, box.h, CLASS_COLORS[klass])
-        faces.append(
-            {
-                "box": {"x": box.x, "y": box.y, "w": box.w, "h": box.h},
-                "class": LABEL_NAMES[klass],
-                "confidence": confidence,
-            }
-        )
+        faces.append({"box": {"x": box.x, "y": box.y, "w": box.w, "h": box.h},
+                      "class": LABEL_NAMES[klass], "confidence": confidence})
     save_ppm(annotated, args.out)
     write_json(
         json_out,

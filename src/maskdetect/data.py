@@ -423,9 +423,10 @@ def save_ppm(image, path: str) -> None:
 
 def _bilinear(image: np.ndarray, sy, sx) -> np.ndarray:
     """Sample ``image`` at the float source coordinates ``(sy, sx)``, which
-    broadcast to the output grid, as float64 ``(..., 3)``: bilinear over a
-    one-pixel zero border, so a coordinate in ``(-1, size)`` fades toward 0
-    within a pixel of either edge, and one outside that range reads 0."""
+    broadcast to the output grid, as float64 channel planes ``(3, ...)``:
+    bilinear over a one-pixel zero border, so a coordinate in ``(-1, size)``
+    fades toward 0 within a pixel of either edge, and one outside that
+    range reads 0."""
     h, w = image.shape[:2]
     planes = np.zeros((3, h + 2, w + 2))  # channel planes inside a zero border
     planes[:, 1:-1, 1:-1] = image.transpose(2, 0, 1)
@@ -441,7 +442,7 @@ def _bilinear(image: np.ndarray, sy, sx) -> np.ndarray:
         far *= weight
         near += far
     p00[:, (sy <= -1) | (sy >= h) | (sx <= -1) | (sx >= w)] = 0.0
-    return p00.transpose(1, 2, 0)
+    return p00
 
 
 def _to_u8(values: np.ndarray) -> np.ndarray:
@@ -462,7 +463,7 @@ def resize_bilinear(image, out_w: int, out_h: int) -> np.ndarray:
     in_h, in_w = image.shape[:2]
     sy = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
     sx = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
-    return _to_u8(_bilinear(image, sy[:, None], sx[None, :]))
+    return _to_u8(_bilinear(image, sy[:, None], sx[None, :]).transpose(1, 2, 0))
 
 
 def normalize(image) -> Tensor:
@@ -539,8 +540,8 @@ def _warp(image: np.ndarray, angle_deg=0.0, zoom=1.0, offsets=None, shift=(0, 0)
     out = _bilinear(image, sy, sx)
     if offsets is not None:
         framed = ((ry >= 0) & (ry < h))[:, None] & ((rx >= 0) & (rx < w))[None, :]
-        out += framed[..., None] * offsets
-    return _to_u8(out)
+        out += framed * np.reshape(offsets, (3, 1, 1))
+    return _to_u8(out.transpose(1, 2, 0))
 
 
 def rotate_image(image, angle_deg: float) -> np.ndarray:

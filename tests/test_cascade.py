@@ -2,6 +2,7 @@
 calculations, pyramid scanning, grouping, the array engine against the
 scalar one-window oracle, and both cascade file formats."""
 
+import hashlib
 import json
 import math
 import time
@@ -415,6 +416,81 @@ def test_group_boxes_matches_the_loop(seed):
     for min_neighbors in (0, 1, 3):
         assert group_boxes(boxes, min_neighbors) == _group_boxes_loop(boxes, min_neighbors)
     assert group_boxes([], 1) == []
+
+
+def _odd_list(kind, rng):
+    """Box lists unlike detect's raw boxes, which are one raster per scale,
+    each in (y, x) order."""
+    def box(x, y, w, h):
+        return DetectionBox(x, y, w, h, float(rng.normal()))
+
+    if kind == "duplicates":  # repeated at once and again later
+        sides = [6 + 3 * rng.randint(3) for _ in range(120)]
+        boxes = [box(2 * rng.randint(12), 3 * rng.randint(8), side, side) for side in sides]
+        return [b for b in boxes for _ in range(1 + rng.randint(2))] + boxes[::3]
+    if kind == "empty-sides":  # a zero width or height never overlaps anything
+        return [box(rng.randint(30), rng.randint(30), rng.randint(12), rng.randint(12))
+                for _ in range(250)]
+    if kind == "off-raster":  # any corner, any shape, any order
+        return [box(rng.randint(90) - 10, rng.randint(70) - 10, 3 + rng.randint(25),
+                    3 + rng.randint(25)) for _ in range(250)]
+    rasters = [box(x, y, side, side) for side in (7, 8, 10, 13) for y in range(0, 30, 2)
+               for x in range(0, 40, 2) if rng.randint(4) == 0]
+    if kind == "reversed":
+        return rasters[::-1]
+    return [rasters[k] for k in np.argsort(rng.uniform(shape=len(rasters)))]
+
+
+_ODD_LISTS = ["duplicates", "empty-sides", "off-raster", "reversed", "shuffled"]
+
+
+@pytest.mark.parametrize("kind", _ODD_LISTS)
+def test_group_boxes_matches_the_loop_on_odd_lists(kind):
+    boxes = _odd_list(kind, SplitMix64(300 + _ODD_LISTS.index(kind)))
+    for min_neighbors in (0, 1, 3):
+        assert group_boxes(boxes, min_neighbors) == _group_boxes_loop(boxes, min_neighbors)
+
+
+def test_group_boxes_follows_a_long_chain(monkeypatch):
+    # each chain box overlaps only the boxes 4 px either side (IoU 60/140),
+    # so the last one's founder is 299 links away; the bridge also overlaps
+    # the lead, which founded cluster 0, and joins it
+    lead, bridge = DetectionBox(1204, 0, 10, 10, 5.0), DetectionBox(1200, 0, 10, 10, -1.0)
+    chain = [DetectionBox(4 * k, 0, 10, 10, float(k % 7)) for k in range(300)]
+    expected = [DetectionBox(1202, 0, 10, 10, 5.0), DetectionBox(598, 0, 10, 10, 6.0)]
+    for links in (chain, chain[::-1]):
+        boxes = [lead, *links, bridge]
+        assert _group_boxes_loop(boxes, 1) == expected
+        assert group_boxes(boxes, 1) == expected
+        monkeypatch.setattr(cascade_module, "_GROUP_CHUNK", 1)
+        assert group_boxes(boxes, 1) == expected
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_group_boxes_in_chunks_of_one_box(monkeypatch, seed):
+    raw = _engine_raw_boxes(monkeypatch, _band_image(), load_cascade_xml(FIXTURE_XML),
+                            DetectParams(1.1, 2, 24, 1))
+    rng = SplitMix64(200 + seed)
+    lists = [raw, _odd_list("duplicates", rng), _odd_list("shuffled", rng)]
+    monkeypatch.setattr(cascade_module, "_GROUP_CHUNK", 1)
+    for boxes in lists:
+        assert group_boxes(boxes, 1) == _group_boxes_loop(boxes, 1)
+
+
+def test_grouping_the_321x240_edge_scene_keeps_its_boxes(monkeypatch):
+    # one bright-over-dark edge: 22,774 raw boxes and about 5.7e7 earlier
+    # pairs with IoU > 0.3; an IoU row against every earlier box took
+    # 3.9-4.3 s to group them, and gave the boxes pinned here
+    gray = np.empty((240, 321), np.uint8)
+    gray[:120] = 210
+    gray[120:] = 40
+    raw = _engine_raw_boxes(monkeypatch, gray, load_cascade_xml(FIXTURE_XML), DetectParams())
+    per_scale = [group_boxes([b for b in raw if b.w == side], 0)
+                 for side in sorted({b.w for b in raw})]
+    got = repr((len(raw), group_boxes(raw, 0), per_scale)).encode()
+    assert hashlib.sha256(got).hexdigest() == (
+        "756f5334222c9e3ca1496302162b0e0b4b7ac162935d13a4617001a6720741e9")
 
 
 # -- array engine against the scalar oracle -------------------------------------------------

@@ -715,6 +715,23 @@ def test_annotate_draws_classified_boxes(scene, train_run, tmp_path):
                           original[y + 2:y + h - 2, x + 2:x + w - 2])
 
 
+def test_annotate_classifies_in_batches_of_the_batch_size(train_run, tmp_path):
+    image = np.full((48, 176, 3), 128, np.uint8)
+    for x in (20, 76, 132):  # three targets like the one in ``scene``
+        image[10:22, x:x + 24] = 210
+        image[22:34, x:x + 24] = 40
+    save_ppm(image, tmp_path / "three.ppm")
+    docs = []
+    for batch_size in ("1", "2", "64"):
+        out = tmp_path / f"batch-{batch_size}.ppm"
+        assert main(["annotate", "--image", str(tmp_path / "three.ppm"), "--cascade", FIXTURE_XML,
+                     "--checkpoint", str(train_run / "best.ckpt"), "--out", str(out),
+                     "--train.batch_size", batch_size]) == 0
+        docs.append(json.loads(out.with_suffix(".json").read_text()))
+    assert len(docs[0]["faces"]) == 3
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_annotate_no_faces_copies_image(blank_scene, train_run, tmp_path):
     out = tmp_path / "annotated.ppm"
     json_out = tmp_path / "faces.json"
@@ -787,12 +804,22 @@ def test_classify_crop_rejects_outside_box(train_run):
     model = load_checkpoint(train_run / "best.ckpt")
     image = np.zeros((30, 30, 3), np.uint8)
     with pytest.raises(InputError):
-        classify_crop(model, image, DetectionBox(40, 40, 10, 10, 1.0))
+        classify_crop(model, image, [DetectionBox(40, 40, 10, 10, 1.0)])
 
 
 def test_classify_crop_returns_distribution(train_run):
     model = load_checkpoint(train_run / "best.ckpt")
     image = np.full((40, 40, 3), 90, np.uint8)
-    klass, confidence = classify_crop(model, image, DetectionBox(5, 5, 24, 24, 1.0))
+    ((klass, confidence),) = classify_crop(model, image, [DetectionBox(5, 5, 24, 24, 1.0)])
     assert klass in (0, 1, 2)
     assert 1.0 / 3.0 - 1e-9 <= confidence <= 1.0
+
+
+def test_classify_crop_gives_each_box_of_a_batch_its_own_bits(train_run):
+    model = load_checkpoint(train_run / "best.ckpt")
+    image = np.random.default_rng(3).integers(0, 256, size=(40, 50, 3), dtype=np.uint8)
+    boxes = [DetectionBox(0, 0, 20, 20, 1.0), DetectionBox(5, 7, 31, 24, 1.0),
+             DetectionBox(30, 20, 30, 30, 1.0)]  # the last one clipped to the image
+    assert classify_crop(model, image, boxes) == [
+        label for box in boxes for label in classify_crop(model, image, [box])]
+    assert classify_crop(model, image, []) == []
