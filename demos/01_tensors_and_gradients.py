@@ -12,7 +12,8 @@ rng = SplitMix64(7)
 # -- forward and backward on a tiny expression -------------------------------
 #
 # Every op records how to push gradients back to its inputs; calling
-# .backward() on a scalar fills .grad on everything that needs one.
+# .backward() on a scalar fills .grad on every leaf that needs one and
+# releases the graph's inner nodes as it goes.
 
 x = Tensor(rng.normal(shape=(4, 3)), requires_grad=True)
 w = Tensor(rng.normal(shape=(3, 2)), requires_grad=True)

@@ -59,13 +59,15 @@ class IntegralImage:
             raise InputError(f"integral image needs a non-empty 2-D image, got {gray.shape}")
         if gray.dtype != np.uint8:
             raise InputError(f"integral image needs a uint8 image, got dtype {gray.dtype}")
-        px = gray.astype(np.int64)
-        h, w = px.shape
+        h, w = gray.shape
         self.height, self.width = h, w
+        # each table sums down the columns straight into its int64 body, then
+        # along the rows in place; a squared pixel fits in int32
         self.table = np.zeros((h + 1, w + 1), dtype=np.int64)
-        self.table[1:, 1:] = px.cumsum(axis=0).cumsum(axis=1)
         self.squared_table = np.zeros((h + 1, w + 1), dtype=np.int64)
-        self.squared_table[1:, 1:] = (px * px).cumsum(axis=0).cumsum(axis=1)
+        for px, t in ((gray, self.table), (np.square(gray, dtype=np.int32), self.squared_table)):
+            np.cumsum(px, axis=0, dtype=np.int64, out=t[1:, 1:])
+            np.cumsum(t[1:, 1:], axis=1, out=t[1:, 1:])
 
     def rect_sum(self, x: int, y: int, w: int, h: int, squared: bool = False) -> int:
         if x < 0 or y < 0 or w < 1 or h < 1 or x + w > self.width or y + h > self.height:

@@ -471,14 +471,14 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, leaves: list[str]) -> None:
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="JSON run-config file")
     group = parser.add_argument_group(
         "config overrides",
         "any scalar config leaf, e.g. --train.batch_size 16",
     )
-    for dotted in sorted(config_leaves(default_config())):
+    for dotted in leaves:
         group.add_argument(f"--{dotted}", metavar="V", default=None)
 
 
@@ -488,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Face-mask detection: corpus tools, training, evaluation, annotation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    leaves = sorted(config_leaves(default_config()))
 
     p = sub.add_parser("scan", help="index a corpus and write a manifest")
     p.add_argument("roots", nargs="+", help="corpus root directories")
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint whose backbone weights seed this run")
     p.add_argument("--split-manifest", default=None, metavar="PATH",
                    help="reuse a saved split instead of splitting afresh")
-    _add_config_flags(p)
+    _add_config_flags(p, leaves)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="classifier-head architecture sweep")
@@ -518,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--init-backbone", default=None, metavar="CKPT")
     p.add_argument("--split-manifest", default=None, metavar="PATH")
-    _add_config_flags(p)
+    _add_config_flags(p, leaves)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on one split")
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--split", default="test", help="train, val or test")
     p.add_argument("--split-manifest", default=None, metavar="PATH")
-    _add_config_flags(p)
+    _add_config_flags(p, leaves)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("detect", help="face boxes from a cascade")
@@ -535,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cascade", required=True, metavar="PATH",
                    help=".xml or .json cascade file")
     p.add_argument("--out", default="boxes.json", metavar="PATH")
-    _add_config_flags(p)
+    _add_config_flags(p, leaves)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("annotate", help="detect, classify and draw boxes")
@@ -545,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="annotated.ppm", metavar="PATH")
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="per-face JSON (default: --out with .json extension)")
-    _add_config_flags(p)
+    _add_config_flags(p, leaves)
     p.set_defaults(func=cmd_annotate)
 
     return parser

@@ -42,7 +42,7 @@ class Tensor:
 
     ``data`` is a row-major numpy array (float32 by default).  When
     ``requires_grad`` is set, operations record the computation graph so
-    that :meth:`backward` can accumulate ``grad`` on every reachable input.
+    that :meth:`backward` can accumulate ``grad`` on every reachable leaf.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns")
@@ -100,10 +100,15 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode accumulation from a scalar output.
 
-        Populates ``grad`` on every reachable tensor that requires one.
-        Raises if any reachable tensor already carries a gradient: stale
-        grads must be reset first, silent accumulation across separate
-        backward calls is a bug class this API rules out.
+        Leaves (tensors without edges, such as parameters) that require a
+        gradient get ``grad``.  Each inner node is released once it has
+        passed its gradient on: its ``grad`` and its edges are dropped, and
+        with them the arrays its gradient functions kept, so the graph does
+        not outlive the walk; ``data`` is left as it is.  Raises before any
+        work if a reachable tensor already holds a gradient (reset it with
+        ``zero_grad``) or is a node an earlier backward released, so a
+        second backward through the same graph is an error, not a silent
+        stop.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() needs a scalar loss, shape is {self.shape}")
@@ -117,6 +122,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise UsageError("backward() reached a node an earlier backward released; "
+                                 "run the forward again")
             seen.add(id(node))
             stack.append((node, True))
             stack.extend((p, False) for p in node._parents)
@@ -127,10 +135,12 @@ class Tensor:
                     "reset grads (zero_grad) before calling backward again"
                 )
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._parents:
                 for parent, fn in zip(node._parents, node._grad_fns):
                     parent._accumulate(fn(node.grad))
+                node.grad = node._parents = node._grad_fns = None
 
     # -- small composable ops (same-shape or scalar only) ---------------------
 
@@ -285,22 +295,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
     xp = _pad(x.data, ph, pw)
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
-    # im2col: (N, C, OH, OW, kh, kw) view -> (N, C*kh*kw, OH*OW) columns; for a
-    # stride-1, unpadded 1x1 conv the view is already contiguous and nothing is copied
+    # im2col: (N, C, kh, kw, OH, OW) view -> (N, C*kh*kw, OH*OW) columns; for a
+    # stride-1, unpadded 1x1 conv the view is already contiguous and nothing is
+    # copied.  The columns are a temporary: backward keeps only the view
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, oh * ow)
+    win = win.transpose(0, 1, 4, 5, 2, 3)
     wmat = weight.data.reshape(o, c * kh * kw)
-    out_data = wmat @ col
+    out_data = wmat @ np.ascontiguousarray(win).reshape(n, c * kh * kw, oh * ow)
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         dcol = wmat.T @ g.reshape(n, o, oh * ow)
         return _fold(dcol.reshape(n, c, kh, kw, oh, ow), x, stride, ph, pw)
 
     def grad_weight(g: np.ndarray) -> np.ndarray:
-        # add the per-sample products in batch order, as a batch sum would, into one array
-        dw = np.zeros((o, c * kh * kw), dtype=np.result_type(g, col))
-        for gi, ci in zip(g.reshape(n, o, oh * ow), col):
-            dw += gi @ ci.T
+        # add the per-sample products in batch order, as a batch sum would, into
+        # one array; each sample's columns are copied from the view as the forward did
+        dw = np.zeros((o, c * kh * kw), dtype=np.result_type(g, xp))
+        for gi, wi in zip(g.reshape(n, o, oh * ow), win):
+            dw += gi @ np.ascontiguousarray(wi).reshape(c * kh * kw, oh * ow).T
         return dw.reshape(o, c, kh, kw)
 
     edges = [(x, grad_x), (weight, grad_weight)]

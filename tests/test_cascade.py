@@ -139,6 +139,20 @@ def test_integral_value_range_is_exact_int64():
     assert ii.squared_table[200, 200] == 255 * 255 * 200 * 200
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (37, 53)])
+def test_integral_tables_equal_the_int64_cumsums(shape):
+    # the tables are summed from the uint8 pixels (squares in int32) into
+    # int64; every entry equals the cumsums of the image widened first
+    rng = SplitMix64(3)
+    img = (rng.uniform(shape=shape) * 256).astype(np.uint8)
+    img.flat[0] = 255
+    ii = integral_image(img)
+    px = img.astype(np.int64)
+    for table, want in ((ii.table, px), (ii.squared_table, px * px)):
+        assert table.dtype == np.int64
+        assert np.array_equal(table, np.pad(want.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0))))
+
+
 # -- grayscale -------------------------------------------------------------------
 
 

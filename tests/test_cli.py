@@ -17,6 +17,7 @@ from maskdetect.checkpoint import load_checkpoint, save_checkpoint
 from maskdetect.cascade import DetectionBox, load_cascade_xml, save_cascade_json
 from maskdetect.cli import (
     CLASS_COLORS,
+    build_parser,
     classify_crop,
     config_leaves,
     default_config,
@@ -97,6 +98,19 @@ def blank_scene(tmp_path_factory):
 
 def test_help_returns_zero():
     assert main(["--help"]) == 0
+
+
+def test_parser_lists_the_config_leaves_once(monkeypatch):
+    # five subcommands take the config flags; the leaf list is built once a call
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return config_leaves(config)
+
+    monkeypatch.setattr("maskdetect.cli.config_leaves", counted)
+    build_parser()
+    assert len(calls) == 1
 
 
 def test_missing_command_returns_two():

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from maskdetect import tensor as T
 from maskdetect.errors import InputError, ParameterError, ShapeError, UsageError
+from maskdetect.nn import HeadConfig, build_model, desk_backbone
 from maskdetect.rng import SplitMix64
 
 
@@ -275,6 +276,57 @@ def test_conv_weight_gradient_needs_no_per_sample_stack():
     # an empty batch has a zero weight gradient
     empty = T.conv2d(T.Tensor(np.zeros((0, 64, 4, 4), np.float32)), w, T.Tensor(np.zeros(96)), padding=1)
     assert not empty._grad_fns[0](np.zeros(empty.shape)).any()
+
+
+def _desk_conv_shapes(monkeypatch):
+    """(input [C,H,W], weight, stride, padding) of every conv of one desk
+    train forward: the stride-2 stem, the 1x7/7x1 paddings, the 1x1 views."""
+    shapes, conv2d = set(), T.conv2d
+
+    def record(x, weight, bias=None, stride=1, padding=0):
+        shapes.add((x.shape[1:], weight.shape, stride, padding))
+        return conv2d(x, weight, bias, stride, padding)
+
+    monkeypatch.setattr(T, "conv2d", record)
+    model = build_model(desk_backbone(), HeadConfig(), seed=0)
+    model.run(T.Tensor(np.zeros((2, 3, 75, 75), np.float32)), mode="train", rng=SplitMix64(0))
+    monkeypatch.undo()
+    return sorted(shapes, key=repr)
+
+
+def _grad_weight_from_batch_columns(x, w, g, stride, padding):
+    # the batch's whole [N, C*kh*kw, OH*OW] column array, one GEMM per sample
+    # added in batch order
+    n, c = x.shape[:2]
+    o, _, kh, kw = w.shape
+    ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = win.shape[2:4]
+    col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, oh * ow)
+    dw = np.zeros((o, c * kh * kw), dtype=x.dtype)
+    for gi, ci in zip(g.reshape(n, o, oh * ow), col):
+        dw += gi @ ci.T
+    return dw.reshape(w.shape)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_conv_weight_gradient_bits_match_the_batch_columns(monkeypatch, n):
+    # backward copies each sample's columns from the window view; the bytes,
+    # the GEMMs and their order are those of the batch's column array
+    shapes = _desk_conv_shapes(monkeypatch)
+    kinds = {(wshape[2:], padding) for _, wshape, _, padding in shapes}
+    assert {((1, 7), (0, 3)), ((7, 1), (3, 0)), ((1, 1), 0)} <= kinds
+    assert {stride for _, _, stride, _ in shapes} == {1, 2}
+    rng = SplitMix64(40 + n)
+    for chw, wshape, stride, padding in shapes:
+        x = _rand(rng, (n, *chw), np.float32)
+        w = T.Tensor(_rand(rng, wshape, np.float32), requires_grad=True)
+        y = T.conv2d(T.Tensor(x), w, stride=stride, padding=padding)
+        g = _rand(rng, y.shape, np.float32)
+        (grad_weight,) = y._grad_fns
+        want = _grad_weight_from_batch_columns(x, w.data, g, stride, padding)
+        _assert_same_bits(grad_weight(g), want, (chw, wshape, stride, padding))
 
 
 def test_pool2d_max_tie_routes_to_lowest_flat_index():
@@ -658,6 +710,71 @@ def test_backward_without_reset_is_an_error():
     loss3 = (t * 3.0).sum()
     loss3.backward()
     assert np.allclose(t.grad, 3.0)  # fresh accumulation, not doubled
+
+
+def _small_graph():
+    """Leaves and the inner nodes of a conv -> batch norm -> relu -> pool ->
+    linear -> cross-entropy graph over a constant input."""
+    rng = SplitMix64(31)
+    w = T.Tensor(_rand(rng, (4, 3, 3, 3)), requires_grad=True)
+    gamma = T.Tensor(np.ones(4), requires_grad=True)
+    beta = T.Tensor(np.zeros(4), requires_grad=True)
+    fc_w = T.Tensor(_rand(rng, (4, 3)), requires_grad=True)
+    fc_b = T.Tensor(np.zeros(3), requires_grad=True)
+    x = T.Tensor(_rand(rng, (2, 3, 6, 6)))
+    z = T.conv2d(x, w, padding=1)
+    h = T.relu(T.batch_norm2d(z, gamma, beta, T.BatchNormState(4, np.float64), "train"))
+    logits = T.linear(T.global_avg_pool(h), fc_w, fc_b)
+    targets = T.Tensor(np.eye(3)[[0, 2]])
+    loss = T.softmax_cross_entropy(logits, targets)
+    return (w, gamma, beta, fc_w, fc_b), (z, h, logits, loss), targets
+
+
+def test_backward_keeps_leaf_gradients_and_releases_inner_nodes():
+    leaves, inner, _ = _small_graph()
+    data = [t.data.copy() for t in inner]
+    inner[-1].backward()
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+    for node, before in zip(inner, data):
+        assert node.grad is None and not node._parents and not node._grad_fns
+        assert np.array_equal(node.data, before)
+
+
+def test_backward_through_a_released_graph_is_an_error():
+    leaves, (_, _, logits, loss), targets = _small_graph()
+    loss.backward()
+    for leaf in leaves:
+        leaf.zero_grad()
+    # the leaves hold no gradient now; the released nodes alone refuse
+    with pytest.raises(UsageError):
+        loss.backward()
+    with pytest.raises(UsageError):
+        T.softmax_cross_entropy(logits, targets).backward()
+    assert all(leaf.grad is None for leaf in leaves)
+
+
+def test_desk_train_step_holds_one_graph_at_a_time():
+    # one batch-8 step of the whole desk model while the previous step's
+    # loss and logits are still referenced, as in a training loop; a graph
+    # kept alive to the end of its step peaked at 42.7 MB, the released
+    # walk with no kept columns at about 18 MB
+    model = build_model(desk_backbone(), HeadConfig(), seed=0)
+    x = T.Tensor(SplitMix64(1).normal(shape=(8, 3, 75, 75)).astype(np.float32))
+    y = T.Tensor(np.eye(3, dtype=np.float32)[np.arange(8) % 3])
+    rng = SplitMix64(2)
+
+    def step():
+        model.zero_grad()
+        logits = model.run(x, mode="train", rng=rng)
+        loss = T.softmax_cross_entropy(logits, y)
+        loss.backward()
+        return logits, loss
+
+    previous = step()
+    _, peak = _peak_bytes(step)
+    assert previous[1].grad is None
+    assert peak < 25e6, peak
 
 
 @pytest.mark.parametrize(
