@@ -20,7 +20,6 @@ from .tensor import (
     concat_channels,
     conv2d,
     dropout,
-    flatten,
     global_avg_pool,
     gradient_check,
     linear,
@@ -117,7 +116,7 @@ __all__ = [
     "SplitMix64",
     # tensor core
     "Tensor", "Parameter", "BatchNormState", "gradient_check",
-    "conv2d", "pool2d", "global_avg_pool", "relu", "linear", "flatten",
+    "conv2d", "pool2d", "global_avg_pool", "relu", "linear",
     "concat_channels", "dropout", "batch_norm2d", "softmax",
     "softmax_cross_entropy",
     # model

@@ -21,8 +21,6 @@ import numpy as np
 from .config import Config, read_json, write_json
 from .errors import CascadeFormatError, InputError, ParameterError
 
-# group_boxes tests IoU > 3/10 in integers, as 13·inter > 3·(A + B)
-IOU_GROUPING_THRESHOLD = 0.3
 # bound on the pyramid: the default scale_factor 1.1 needs about 32 scales at 640x480
 MAX_SCALES = 1000
 # bound on a base-window side: OpenCV's frontal-face cascades use 20 to 24 px
@@ -69,14 +67,6 @@ class IntegralImage:
             np.cumsum(px, axis=0, dtype=np.int64, out=t[1:, 1:])
             np.cumsum(t[1:, 1:], axis=1, out=t[1:, 1:])
 
-    def rect_sum(self, x: int, y: int, w: int, h: int, squared: bool = False) -> int:
-        if x < 0 or y < 0 or w < 1 or h < 1 or x + w > self.width or y + h > self.height:
-            raise InputError(
-                f"rect (x={x}, y={y}, w={w}, h={h}) outside {self.width}x{self.height} image"
-            )
-        t = self.squared_table if squared else self.table
-        return int(t[y + h, x + w] - t[y, x + w] - t[y + h, x] + t[y, x])
-
 
 def integral_image(gray: np.ndarray) -> IntegralImage:
     return IntegralImage(gray)
@@ -85,7 +75,10 @@ def integral_image(gray: np.ndarray) -> IntegralImage:
 def rect_sum(ii: IntegralImage, rect) -> int:
     """Four-lookup sum of the pixels inside ``rect`` = (x, y, w, h)."""
     x, y, w, h = rect
-    return ii.rect_sum(x, y, w, h)
+    if x < 0 or y < 0 or w < 1 or h < 1 or x + w > ii.width or y + h > ii.height:
+        raise InputError(f"rect (x={x}, y={y}, w={w}, h={h}) outside {ii.width}x{ii.height} image")
+    t = ii.table
+    return int(t[y + h, x + w] - t[y, x + w] - t[y + h, x] + t[y, x])
 
 
 # -- cascade structure ---------------------------------------------------------------
@@ -317,17 +310,6 @@ def eval_window(ii: IntegralImage, cascade: Cascade, origin, scale: float) -> Wi
 
 
 # -- scanning and grouping -----------------------------------------------------------------
-
-
-def iou(a, b) -> float:
-    """Intersection-over-union of two (x, y, w, h) boxes."""
-    ax, ay, aw, ah = a[:4]
-    bx, by, bw, bh = b[:4]
-    ix = max(0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
 
 
 def _fill_min_table(table: np.ndarray, lo: int, hi: int) -> None:

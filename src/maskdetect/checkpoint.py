@@ -114,15 +114,13 @@ def _read(path) -> tuple[dict, bytes]:
     names = [e["name"] for e in header["entries"]]
     if len(names) != len(set(names)):
         raise CheckpointError(f"{path}: duplicate entry names in manifest")
+    # the entries tile the payload in manifest order, as save_checkpoint writes them
     total = 0
     for e in header["entries"]:
-        end = e["offset"] + 4 * math.prod(e["shape"])
-        if end > len(payload):
-            raise CheckpointError(
-                f"{path}: entry {e['name']!r} spans bytes {e['offset']}..{end}, "
-                f"payload has {len(payload)}"
-            )
-        total = max(total, end)
+        if e["offset"] != total:
+            raise CheckpointError(f"{path}: entry {e['name']!r} starts at byte {e['offset']}, "
+                                  f"the entries before it end at byte {total}")
+        total += 4 * math.prod(e["shape"])
     if total != len(payload):
         raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, manifest accounts for {total}"

@@ -86,6 +86,8 @@ CLASS_COLORS = {
     1: (255, 0, 0),
     2: (255, 165, 0),
 }
+# width in pixels of each side of a drawn box
+BOX_THICKNESS = 2
 
 # error classes that indicate the *user* got something wrong -> exit 2
 _USAGE_ERRORS = (ConfigError, UsageError, InputError, ParameterError)
@@ -387,20 +389,19 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def draw_rectangle(image: np.ndarray, x: int, y: int, w: int, h: int,
-                   color, thickness: int = 2) -> None:
+def draw_rectangle(image: np.ndarray, x: int, y: int, w: int, h: int, color) -> None:
     """Draw a rectangle outline in place, kept inside the box bounds.
 
-    The bands occupy the outermost ``thickness`` pixels of the box on each
-    side, clipped to the image, so annotations never spill outside either
-    the box or the frame.
+    The bands occupy the outermost ``BOX_THICKNESS`` pixels of the box on
+    each side, clipped to the image, so annotations never spill outside
+    either the box or the frame.
     """
     height, width = image.shape[:2]
     x0, y0 = max(x, 0), max(y, 0)
     x1, y1 = min(x + w, width), min(y + h, height)
     if x0 >= x1 or y0 >= y1:
         return
-    t = thickness
+    t = BOX_THICKNESS
     color = np.asarray(color, dtype=np.uint8)
     image[y0:min(y0 + t, y1), x0:x1] = color          # top
     image[max(y1 - t, y0):y1, x0:x1] = color          # bottom

@@ -43,9 +43,6 @@ __all__ = [
     "save_ppm",
     "resize_bilinear",
     "normalize",
-    "rotate_image",
-    "color_shift_image",
-    "translate_image",
     "augment",
     "batch_order",
     "batches",
@@ -511,10 +508,6 @@ class AugmentConfig(Config):
                 f"got {self.translate_max_fraction}"
             )
 
-    @classmethod
-    def identity(cls) -> "AugmentConfig":
-        return cls(0.0, (1.0, 1.0), 0.0, 0.0)
-
 
 def _warp(image: np.ndarray, angle_deg=0.0, zoom=1.0, offsets=None, shift=(0, 0)) -> np.ndarray:
     """The one resampling behind every augmentation.
@@ -542,22 +535,6 @@ def _warp(image: np.ndarray, angle_deg=0.0, zoom=1.0, offsets=None, shift=(0, 0)
         framed = ((ry >= 0) & (ry < h))[:, None] & ((rx >= 0) & (rx < w))[None, :]
         out += framed * np.reshape(offsets, (3, 1, 1))
     return _to_u8(out.transpose(1, 2, 0))
-
-
-def rotate_image(image, angle_deg: float) -> np.ndarray:
-    """Rotate about the image center (bilinear, zero fill outside)."""
-    return _warp(_check_image(image), angle_deg=angle_deg)
-
-
-def color_shift_image(image, offsets) -> np.ndarray:
-    """Add a per-channel offset, rounding half-up and clamping to [0, 255]."""
-    offsets = np.asarray(offsets, dtype=np.float64).reshape(3)
-    return _warp(_check_image(image), offsets=offsets)
-
-
-def translate_image(image, shift_y: int, shift_x: int) -> np.ndarray:
-    """Shift by whole pixels with zero fill."""
-    return _warp(_check_image(image), shift=(int(shift_y), int(shift_x)))
 
 
 def augment(image, config: AugmentConfig, rng: SplitMix64) -> np.ndarray:

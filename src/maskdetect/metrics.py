@@ -9,7 +9,7 @@ three decimals; the JSON twin carries full precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,10 @@ _NUM_CLASSES = len(LABEL_NAMES)
 
 @dataclass
 class ConfusionMatrix:
-    """3x3 integer counts; rows are the true class, columns the prediction."""
+    """3x3 integer counts; rows are the true class, columns the prediction,
+    both in ``LABEL_NAMES`` order."""
 
     counts: np.ndarray
-    class_names: tuple[str, ...] = LABEL_NAMES
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -44,8 +44,6 @@ class ConfusionMatrix:
         if np.any(counts < 0):
             raise InputError("confusion counts must be non-negative")
         self.counts = counts.astype(np.int64)
-        if len(self.class_names) != _NUM_CLASSES:
-            raise InputError(f"expected 3 class names, got {self.class_names}")
 
     @property
     def total(self) -> int:
@@ -60,13 +58,13 @@ class ConfusionMatrix:
 
     def to_csv(self) -> str:
         """The matrix as CSV with labeled rows/columns (rows = true class)."""
-        lines = ["true\\pred," + ",".join(self.class_names)]
-        for k, name in enumerate(self.class_names):
+        lines = ["true\\pred," + ",".join(LABEL_NAMES)]
+        for k, name in enumerate(LABEL_NAMES):
             lines.append(name + "," + ",".join(str(int(v)) for v in self.counts[k]))
         return "\n".join(lines) + "\n"
 
 
-def confusion(pred, truth, class_names: tuple[str, ...] = LABEL_NAMES) -> ConfusionMatrix:
+def confusion(pred, truth) -> ConfusionMatrix:
     """Tally predicted-vs-true class ids into a confusion matrix."""
     pred = list(pred)
     truth = list(truth)
@@ -80,7 +78,7 @@ def confusion(pred, truth, class_names: tuple[str, ...] = LABEL_NAMES) -> Confus
         if not (0 <= p < _NUM_CLASSES and 0 <= t < _NUM_CLASSES):
             raise InputError(f"class id out of range at position {i}: pred={p} truth={t}")
         counts[t, p] += 1
-    return ConfusionMatrix(counts, class_names)
+    return ConfusionMatrix(counts)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -165,21 +163,6 @@ class ClassReport:
             },
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassReport":
-        names = tuple(d["classes"])
-        per = [d["classes"][n] for n in names]
-        return cls(
-            class_names=names,
-            precision=tuple(c["precision"] for c in per),
-            recall=tuple(c["recall"] for c in per),
-            f1=tuple(c["f1"] for c in per),
-            support=tuple(int(c["support"]) for c in per),
-            accuracy=d["accuracy"],
-            macro=tuple(d["macro_avg"][k] for k in ("precision", "recall", "f1")),
-            weighted=tuple(d["weighted_avg"][k] for k in ("precision", "recall", "f1")),
-        )
-
 
 def classification_report(cm: ConfusionMatrix) -> ClassReport:
     """Compute the full per-class and aggregate report from a matrix."""
@@ -190,7 +173,7 @@ def classification_report(cm: ConfusionMatrix) -> ClassReport:
         aggregate(values, supports) for values in (precisions, recalls, f1s)
     )
     return ClassReport(
-        class_names=tuple(cm.class_names),
+        class_names=LABEL_NAMES,
         precision=precisions,
         recall=recalls,
         f1=f1s,

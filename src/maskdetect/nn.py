@@ -55,8 +55,8 @@ class BackboneConfig(Config):
 
     Sizes have upper bounds, so a config file, flag or checkpoint header
     cannot ask for an unbounded model: ``input_size`` in [8, 1024],
-    ``width_mult`` in (0, 4], ``stem_channels`` in [1, 1024] each and
-    ``num_blocks`` in [1, 16].
+    ``width_mult`` in (0, 4], at most 8 stem units of ``stem_channels`` in
+    [1, 1024] each, and ``num_blocks`` in [1, 16].
     """
 
     input_size: int = 299
@@ -76,6 +76,9 @@ class BackboneConfig(Config):
                 f"stem_channels {self.stem_channels} and stem_strides {self.stem_strides} "
                 "must be non-empty and the same length"
             )
+        if len(self.stem_channels) > 8:
+            raise ConfigError(f"stem_channels must have at most 8 units, "
+                              f"got {len(self.stem_channels)}")
         if any(ch < 1 for ch in self.stem_channels):
             raise ConfigError(f"stem_channels must be >= 1, got {self.stem_channels}")
         if any(ch > 1024 for ch in self.stem_channels):
@@ -436,9 +439,8 @@ class Model:
     def trainable_parameters(self) -> list:
         return [p for p in self.parameters() if p.trainable]
 
-    def num_parameters(self, trainable_only: bool = False) -> int:
-        params = self.trainable_parameters() if trainable_only else self.parameters()
-        return int(sum(p.data.size for p in params))
+    def num_parameters(self) -> int:
+        return int(sum(p.data.size for p in self.parameters()))
 
 
 def build_model(backbone_config: Optional[BackboneConfig] = None,

@@ -21,19 +21,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InputError, ParameterError, ShapeError, UsageError
 from .rng import SplitMix64
 
-DTYPES = {"f32": np.float32, "f64": np.float64}
-
 GradFn = Callable[[np.ndarray], np.ndarray]
+
+# the two compute precisions
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def _as_dtype(dtype) -> np.dtype:
-    if isinstance(dtype, str):
-        if dtype not in DTYPES:
-            raise ParameterError(f"unknown dtype {dtype!r}; expected 'f32' or 'f64'")
-        return np.dtype(DTYPES[dtype])
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ParameterError(f"unsupported dtype {dt}; expected float32 or float64")
+    try:
+        dt = np.dtype(dtype)
+    except (TypeError, ValueError):  # not a dtype numpy knows
+        dt = None
+    if dt is None or dt not in _FLOATS:  # `is None` first: a dtype compares equal to None
+        raise ParameterError(f"unsupported dtype {dtype!r}; expected float32 or float64")
     return dt
 
 
@@ -428,13 +428,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         (weight, lambda g: xd.T @ g),
         (bias, lambda g: g.sum(axis=0)),
     )
-
-
-def flatten(x: Tensor) -> Tensor:
-    """Keep the leading dim, flatten the rest row-major."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"flatten: rank must be >= 2, got shape {x.shape}")
-    return x.reshape(x.shape[0], -1)
 
 
 def concat_channels(xs: Iterable[Tensor]) -> Tensor:

@@ -13,7 +13,7 @@ import csv
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import accumulate
-from typing import Callable, get_type_hints
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "capture_state",
     "restore_state",
     "write_logs",
-    "read_logs",
     "write_sweep_csv",
     "write_sweep_json",
 ]
@@ -53,6 +52,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class Adam:
@@ -66,15 +70,11 @@ class Adam:
     are those of a step per tensor.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params, lr: float):
         if lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {lr}")
         self.params = [p for p in params if p.trainable]
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.t = 0
         ends = list(accumulate(p.data.size for p in self.params))
         self._spans = [slice(end - p.data.size, end) for p, end in zip(self.params, ends)]
@@ -96,14 +96,14 @@ class Adam:
                 raise UsageError(f"parameter {p.name!r} has no gradient to step with")
             g[span] = p.grad.reshape(-1)
         # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, op for op
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=u)
-        v *= self.beta2
-        v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=u), g, out=u)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=u)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=u), g, out=u)
         # lr * m_hat / (sqrt(v_hat) + eps), bias-corrected by step
-        np.multiply(np.divide(m, 1.0 - self.beta1**self.t, out=u), self.lr, out=u)
-        np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=w), out=w)
-        u /= np.add(w, self.epsilon, out=w)
+        np.multiply(np.divide(m, 1.0 - BETA1**self.t, out=u), self.lr, out=u)
+        np.sqrt(np.divide(v, 1.0 - BETA2**self.t, out=w), out=w)
+        u /= np.add(w, EPSILON, out=w)
         for p, span in zip(self.params, self._spans):
             p.data -= u[span].reshape(p.data.shape).astype(p.data.dtype)
 
@@ -555,13 +555,6 @@ def _write_csv(path, record_type, records) -> None:
 def write_logs(logs: list[EpochLog], path) -> None:
     """Per-epoch CSV with one header line and full-precision values."""
     _write_csv(path, EpochLog, logs)
-
-
-def read_logs(path) -> list[EpochLog]:
-    kinds = get_type_hints(EpochLog)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return [EpochLog(**{name: kind(row[name]) for name, kind in kinds.items()})
-                for row in csv.DictReader(fh)]
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -13,7 +13,6 @@ import pytest
 
 from maskdetect import cascade as cascade_module
 from maskdetect.cascade import (
-    IOU_GROUPING_THRESHOLD,
     Cascade,
     DetectionBox,
     DetectParams,
@@ -27,7 +26,6 @@ from maskdetect.cascade import (
     eval_window,
     group_boxes,
     integral_image,
-    iou,
     load_cascade_json,
     load_cascade_xml,
     rect_sum,
@@ -70,6 +68,13 @@ def test_integral_all_ones_and_zeros():
     assert zz.table.sum() == 0 and zz.squared_table.sum() == 0
 
 
+def _squared_sum(ii, rect):
+    """Four-lookup sum of the squared pixels inside ``rect`` = (x, y, w, h)."""
+    x, y, w, h = rect
+    t = ii.squared_table
+    return int(t[y + h, x + w] - t[y, x + w] - t[y + h, x] + t[y, x])
+
+
 def test_integral_matches_naive_sums():
     rng = SplitMix64(1)
     img = (rng.uniform(shape=(4, 4)) * 256).astype(np.uint8)
@@ -79,11 +84,11 @@ def test_integral_matches_naive_sums():
             for h in range(1, 4 - y + 1):
                 for w in range(1, 4 - x + 1):
                     naive = int(img[y : y + h, x : x + w].astype(np.int64).sum())
-                    assert ii.rect_sum(x, y, w, h) == naive
+                    assert rect_sum(ii, (x, y, w, h)) == naive
                     naive_sq = int(
                         (img[y : y + h, x : x + w].astype(np.int64) ** 2).sum()
                     )
-                    assert ii.rect_sum(x, y, w, h, squared=True) == naive_sq
+                    assert _squared_sum(ii, (x, y, w, h)) == naive_sq
 
 
 def test_rect_sum_random_rects_exact():
@@ -386,6 +391,22 @@ def test_detect_deterministic():
 # -- grouping ----------------------------------------------------------------------------
 
 
+# the loop oracle groups above this IoU; group_boxes tests it in integers,
+# as 13·inter > 3·(A + B)
+IOU_GROUPING_THRESHOLD = 0.3
+
+
+def iou(a, b) -> float:
+    """Intersection-over-union of two (x, y, w, h) boxes."""
+    ax, ay, aw, ah = a[:4]
+    bx, by, bw, bh = b[:4]
+    ix = max(0, min(ax + aw, bx + bw) - max(ax, bx))
+    iy = max(0, min(ay + ah, by + bh) - max(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return inter / union if union > 0 else 0.0
+
+
 def test_iou_values():
     assert iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
     assert iou((0, 0, 10, 10), (10, 10, 5, 5)) == 0.0
@@ -516,8 +537,8 @@ def test_grouping_the_321x240_edge_scene_keeps_its_boxes(monkeypatch):
 
 def _eval_scaled(ii, scaled_stages, x, y, win_w, win_h):
     area = win_w * win_h
-    total = ii.rect_sum(x, y, win_w, win_h)
-    total_sq = ii.rect_sum(x, y, win_w, win_h, squared=True)
+    total = rect_sum(ii, (x, y, win_w, win_h))
+    total_sq = _squared_sum(ii, (x, y, win_w, win_h))
     mean = total / area
     variance = total_sq / area - mean * mean
     std = math.sqrt(variance) if variance > 0 else 1.0
@@ -529,7 +550,7 @@ def _eval_scaled(ii, scaled_stages, x, y, win_w, win_h):
         for rects, threshold, left, right in stage_rects:
             value = 0.0
             for rx, ry, rw, rh, weight in rects:
-                value += weight * ii.rect_sum(x + rx, y + ry, rw, rh)
+                value += weight * rect_sum(ii, (x + rx, y + ry, rw, rh))
             stage_sum += left if value / norm < threshold else right
         margin = stage_sum - stage_threshold
         if margin < 0:
@@ -721,11 +742,11 @@ def test_stump_threshold_at_the_exact_feature_value_votes_right():
         probe = Cascade(16, 16, (Stage((WeakClassifier(HaarFeature(rects), 0.0, 0.0, 0.0),),
                                        0.0),))
         scaled = _scale_rects(probe, 1.0)[0][0][0][0]  # the one stump's rects
-        mean = ii.rect_sum(x, y, 16, 16) / 256
-        variance = ii.rect_sum(x, y, 16, 16, squared=True) / 256 - mean * mean
+        mean = rect_sum(ii, (x, y, 16, 16)) / 256
+        variance = _squared_sum(ii, (x, y, 16, 16)) / 256 - mean * mean
         value = 0.0
         for rx, ry, rw, rh, weight in scaled:
-            value += weight * ii.rect_sum(x + rx, y + ry, rw, rh)
+            value += weight * rect_sum(ii, (x + rx, y + ry, rw, rh))
         threshold = value / ((math.sqrt(variance) if variance > 0 else 1.0) * 256)
         casc = Cascade(16, 16, (Stage((WeakClassifier(HaarFeature(rects), threshold, -1.0, 1.0),),
                                       0.0),))

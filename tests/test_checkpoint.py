@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -369,6 +370,29 @@ def test_malformed_header_is_checkpoint_error(tmp_path, case):
         load_into(_model(seed=1), bad)
 
 
+def test_entries_must_tile_the_payload_in_order(tmp_path):
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(build_model(desk_backbone(), HeadConfig(), seed=0), good)
+    second = read_header(good)["entries"][1]
+    name, start = second["name"], second["offset"]
+
+    def second_at(offset):
+        def mutate(header):
+            header["entries"][1]["offset"] = offset
+            return header
+        return mutate
+
+    # at offset 0 the second entry (a batch norm's gamma) would hold the first
+    # conv's weights, and one float either way overlaps a neighbour; the
+    # payload's total length is the same in every case
+    for offset in (0, start - 4, start + 4):
+        _rewrite_header(good, bad, second_at(offset))
+        named = re.escape(f"entry {name!r} starts at byte {offset}")
+        for load in (load_checkpoint, read_header):
+            with pytest.raises(CheckpointError, match=named):
+                load(bad)
+
+
 def test_bad_architecture_is_checkpoint_error(tmp_path):
     good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
     save_checkpoint(_model(seed=1), good)
@@ -388,6 +412,17 @@ def test_bad_architecture_is_checkpoint_error(tmp_path):
             load_checkpoint(bad)
 
 
+def _peak_of_refused_load(path, match) -> int:
+    """Peak traced bytes of a ``load_checkpoint`` that must refuse ``path``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_oversized_head_is_refused_before_any_model_is_built(tmp_path):
     good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
     save_checkpoint(build_model(desk_backbone(), HeadConfig(), seed=0), good)
@@ -397,14 +432,22 @@ def test_oversized_head_is_refused_before_any_model_is_built(tmp_path):
         return header
 
     _rewrite_header(good, bad, million_units)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CheckpointError, match="hidden_units must be <= 4096"):
-            load_checkpoint(bad)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_of_refused_load(bad, "hidden_units must be <= 4096")
     assert peak < 4 * bad.stat().st_size  # the file is read; no model is built
+
+
+def test_nine_unit_stem_is_refused_before_any_model_is_built(tmp_path):
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(_model(seed=1), good)
+
+    def nine_wide_units(header):
+        header["backbone"]["stem_channels"] = [1024] * 9  # 128 wide at width 0.125
+        header["backbone"]["stem_strides"] = [1] * 9
+        return header
+
+    _rewrite_header(good, bad, nine_wide_units)
+    peak = _peak_of_refused_load(bad, "stem_channels must have at most 8 units")
+    assert peak < 2**20  # the 35 kB file is read; the 5 MB stem is never built
 
 
 def test_load_checkpoint_reads_file_once(tmp_path, monkeypatch):

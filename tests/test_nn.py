@@ -280,7 +280,7 @@ def test_set_trainable_counts_and_validation():
     n_backbone = len([p for p in m.parameters() if p.name.startswith("backbone.")])
     assert m.set_trainable("backbone.", False) == n_backbone
     assert m.set_trainable("backbone.", False) == 0  # already frozen
-    assert m.num_parameters(trainable_only=True) == sum(
+    assert sum(p.data.size for p in m.trainable_parameters()) == sum(
         p.data.size for p in m.parameters() if p.name.startswith("head.")
     )
     assert m.set_trainable("backbone.block4", True) > 0

@@ -439,13 +439,11 @@ def test_linear_shape_errors():
 def test_flatten_row_major_and_roundtrip():
     x = np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2)
     t = T.Tensor(x, requires_grad=True)
-    y = T.flatten(t)
+    y = t.reshape(2, -1)
     assert y.shape == (2, 12)
     assert np.array_equal(y.data[0], x[0].reshape(-1))
     (y * T.Tensor(np.ones_like(y.data))).sum().backward()
     assert t.grad.shape == x.shape
-    with pytest.raises(ShapeError):
-        T.flatten(T.Tensor(np.zeros(3)))
 
 
 def test_concat_channels_order_and_split_gradient():
@@ -828,12 +826,14 @@ def test_frozen_branch_gets_no_gradient():
 def test_float32_default_and_float64_opt_in():
     t = T.Tensor([1.0, 2.0])
     assert t.dtype == np.float32
-    t64 = T.Tensor([1.0, 2.0], dtype="f64")
+    t64 = T.Tensor([1.0, 2.0], dtype=np.float64)
     assert t64.dtype == np.float64
     y = T.relu(t64)
     assert y.dtype == np.float64
-    with pytest.raises(ParameterError):
-        T.Tensor([1.0], dtype="f16")
+    # the "f32"/"f64" names are gone, and "f16" is numpy's float128
+    for dtype in ("f16", "f32", "f64", "no-such-dtype", np.float16, np.int32):
+        with pytest.raises(ParameterError):
+            T.Tensor([1.0], dtype=dtype)
 
 
 def test_parameter_trainable_toggle():

@@ -1,6 +1,8 @@
 """Tests for the optimizer, epoch loops, two-phase schedule and sweep."""
 
+import csv
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from maskdetect.training import (
     capture_state,
     evaluate,
     pretrain_backbone,
-    read_logs,
     restore_state,
     select_best,
     sweep,
@@ -677,6 +678,14 @@ def test_write_logs_sixty_epochs(tmp_path):
     assert lines[0] == "epoch,phase,train_loss,train_acc,val_loss,val_acc,wall_seconds"
     phases = [int(line.split(",")[1]) for line in lines[1:]]
     assert phases[39] == 1 and phases[40] == 2  # switch exactly at epoch 41
+
+
+def read_logs(path) -> list[EpochLog]:
+    """Parse a ``write_logs`` CSV back into epoch logs, each field by its type."""
+    kinds = get_type_hints(EpochLog)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        return [EpochLog(**{name: kind(row[name]) for name, kind in kinds.items()})
+                for row in csv.DictReader(fh)]
 
 
 def test_logs_roundtrip(tmp_path):
