@@ -193,8 +193,12 @@ class DetectParams(Config):
 
 
 def _window_size(cascade: Cascade, scale: float) -> tuple:
-    return (max(1, int(round(cascade.base_width * scale))),
-            max(1, int(round(cascade.base_height * scale))))
+    """The rounded window extent at ``scale``; one past the float range is
+    infinite, so it fits no image."""
+    w, h = cascade.base_width * scale, cascade.base_height * scale
+    if not math.isfinite(w + h):
+        return math.inf, math.inf
+    return max(1, int(round(w))), max(1, int(round(h)))
 
 
 def _scale_rects(cascade: Cascade, scale: float) -> list:
@@ -288,8 +292,8 @@ def eval_window(ii: IntegralImage, cascade: Cascade, origin, scale: float) -> Wi
     empty cascade accepts with score 0.  The score is the final evaluated
     stage's sum minus that stage's threshold.
     """
-    if scale <= 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ParameterError(f"scale must be positive and finite, got {scale}")
     x, y = origin
     win_w, win_h = _window_size(cascade, scale)
     if x < 0 or y < 0 or x + win_w > ii.width or y + win_h > ii.height:
@@ -547,7 +551,7 @@ def detect(gray: np.ndarray, cascade: Cascade, params: Optional[DetectParams] = 
     by descending score.
     """
     params = params or DetectParams()
-    if params.scale_factor <= 1.0:
+    if not params.scale_factor > 1.0:  # NaN too
         raise ParameterError(f"scale_factor must exceed 1, got {params.scale_factor}")
     if params.step < 1:
         raise ParameterError(f"step must be >= 1, got {params.step}")

@@ -25,6 +25,8 @@ GradFn = Callable[[np.ndarray], np.ndarray]
 
 # the two compute precisions
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+# bound on the im2col columns conv2d copies at once; a chunk holds at least one sample
+_COLUMN_BYTES = 1 << 20
 
 
 def _as_dtype(dtype) -> np.dtype:
@@ -249,14 +251,14 @@ def _pad(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
     return out
 
 
-def _fold(dcol: np.ndarray, x: Tensor, stride: int, ph: int, pw: int) -> np.ndarray:
-    """col2im: sum window gradients [N,C,kh,kw,OH,OW] onto x's unpadded grid."""
+def _fold(tap: Callable, x: Tensor, kh: int, kw: int, stride: int, ph: int, pw: int) -> np.ndarray:
+    """col2im: add each tap's [N,C,OH,OW] ``tap(i, j)`` in row-major order onto x's grid."""
     n, c, h, w = x.shape
-    kh, kw, oh, ow = dcol.shape[2:]
     dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    span_h, span_w = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1  # the window origins
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcol[:, :, i, j]
+            dxp[:, :, i : i + span_h : stride, j : j + span_w : stride] += tap(i, j)
     return dxp[:, :, ph : ph + h, pw : pw + w]
 
 
@@ -271,7 +273,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
     factorized 1x7/7x1 branches, which pad one axis only.  Output extent is
     floor((H + 2*ph - kh) / stride) + 1 per axis.  Each sample is one GEMM
     of the [O, C*kh*kw] weights with its [C*kh*kw, OH*OW] columns, so a
-    sample's result does not depend on the rest of the batch.  Without a
+    sample's result does not depend on the rest of the batch; the input
+    gradient is one [C, O] @ [O, OH*OW] GEMM per kernel tap.  Without a
     ``bias`` the op adds nothing and builds no bias edge.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -295,17 +298,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
     xp = _pad(x.data, ph, pw)
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
-    # im2col: (N, C, kh, kw, OH, OW) view -> (N, C*kh*kw, OH*OW) columns; for a
-    # stride-1, unpadded 1x1 conv the view is already contiguous and nothing is
-    # copied.  The columns are a temporary: backward keeps only the view
+    # im2col: (N, C, kh, kw, OH, OW) view -> (C*kh*kw, OH*OW) columns per sample,
+    # copied in chunks of whole samples; for a stride-1, unpadded 1x1 conv the view
+    # is already contiguous and nothing is copied.  Backward keeps only the view
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     win = win.transpose(0, 1, 4, 5, 2, 3)
     wmat = weight.data.reshape(o, c * kh * kw)
-    out_data = wmat @ np.ascontiguousarray(win).reshape(n, c * kh * kw, oh * ow)
+    out_data = np.empty((n, o, oh * ow), dtype=np.result_type(wmat, xp))
+    chunk = max(1, _COLUMN_BYTES // max(1, c * kh * kw * oh * ow * xp.itemsize))
+    for s in range(0, n, chunk):
+        cols = np.ascontiguousarray(win[s : s + chunk])
+        np.matmul(wmat, cols.reshape(len(cols), c * kh * kw, oh * ow), out=out_data[s : s + chunk])
 
     def grad_x(g: np.ndarray) -> np.ndarray:
-        dcol = wmat.T @ g.reshape(n, o, oh * ow)
-        return _fold(dcol.reshape(n, c, kh, kw, oh, ow), x, stride, ph, pw)
+        # every tap's [C, O] @ [O, OH*OW] product goes into one array, so no tap maps new pages
+        wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # [kh, kw, O, C]
+        g, dtap = g.reshape(n, o, oh * ow), np.empty((n, c, oh * ow), np.result_type(wt, g))
+        return _fold(lambda i, j: np.matmul(wt[i, j].T, g, out=dtap).reshape(n, c, oh, ow),
+                     x, kh, kw, stride, ph, pw)
 
     def grad_weight(g: np.ndarray) -> np.ndarray:
         # add the per-sample products in batch order, as a batch sum would, into
@@ -359,8 +369,8 @@ def pool2d(x: Tensor, kind: str, k: int, stride: int, padding: int = 0) -> Tenso
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         if kind == "avg":
-            share = np.broadcast_to((g / (k * k))[:, :, None, None], (n, c, k, k, oh, ow))
-            return _fold(share, x, stride, ph, pw)
+            share = g / (k * k)
+            return _fold(lambda i, j: share, x, k, k, stride, ph, pw)
         dxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
         nn, cc, ii, jj = np.ogrid[:n, :c, :oh, :ow]
         np.add.at(dxp, (nn, cc, ii * stride + arg // k, jj * stride + arg % k), g)

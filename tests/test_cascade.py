@@ -228,8 +228,11 @@ def test_eval_window_bounds_and_scale_validation():
     ii = integral_image(np.zeros((30, 30), dtype=np.uint8))
     with pytest.raises(InputError):
         eval_window(ii, casc, (10, 10), 1.0)  # 24-window from (10,10) leaves a 30-image
-    with pytest.raises(ParameterError):
-        eval_window(ii, casc, (0, 0), 0.0)
+    for scale in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="scale"):
+            eval_window(ii, casc, (0, 0), scale)
+    with pytest.raises(InputError, match="outside"):
+        eval_window(ii, casc, (0, 0), 1e307)  # finite, but the window overflows to infinity
 
 
 def test_eval_window_rect_past_the_image_is_an_input_error():
@@ -380,6 +383,21 @@ def test_detect_refuses_an_unbounded_pyramid():
     assert time.perf_counter() - started < 5.0
     # a fine pyramid under the cap still runs
     assert detect(img, load_cascade_xml(FIXTURE_XML), DetectParams(scale_factor=1.0001)) == []
+
+
+@pytest.mark.parametrize("factor", [1e307, 1e308, math.inf])
+def test_detect_pyramid_ends_where_the_window_overflows(factor):
+    # the second scale's window is past the float range: it fits no image, so
+    # the pyramid ends there, as it does at 1e300
+    casc, img = load_cascade_xml(FIXTURE_XML), _band_image()
+    want = detect(img, casc, DetectParams(scale_factor=1e300, min_neighbors=1))
+    assert want
+    assert detect(img, casc, DetectParams(scale_factor=factor, min_neighbors=1)) == want
+
+
+def test_detect_refuses_a_nan_scale_factor():
+    with pytest.raises(ParameterError, match="scale_factor"):
+        detect(_band_image(), load_cascade_xml(FIXTURE_XML), DetectParams(scale_factor=math.nan))
 
 
 def test_detect_deterministic():

@@ -697,6 +697,22 @@ def test_detect_scale_factor_near_one_exits_two(tmp_path, capsys):
     assert "scale_factor" in capsys.readouterr().err
     assert not (tmp_path / "boxes.json").exists()
 
+
+def test_detect_scale_factor_past_the_float_range_ends_the_pyramid(tmp_path, capsys):
+    # at 1e308 the second scale's window overflows to infinity; it fits no
+    # image, so the pyramid holds one scale, as at 1e300
+    image = tmp_path / "wide.ppm"
+    save_ppm(np.full((120, 160, 3), 90, np.uint8), image)
+    docs = []
+    for factor in ("1e300", "1e308"):
+        out = tmp_path / f"boxes-{factor}.json"
+        assert main(["detect", "--image", str(image), "--cascade", FIXTURE_XML,
+                     "--out", str(out), "--detect.scale_factor", factor]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert "Traceback" not in capsys.readouterr().err
+    assert docs[0]["boxes"] == docs[1]["boxes"]
+
+
 # -- annotate -------------------------------------------------------------------------
 
 

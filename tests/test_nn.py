@@ -163,7 +163,9 @@ def test_eval_forward_of_a_trainable_backbone_records_no_graph():
 
 def test_eval_forward_of_a_trainable_backbone_holds_no_graph_memory():
     # the graph path would keep every unit's columns and activations alive
-    # (a 114 MB peak); folded, each is freed as the next unit runs (18 MB)
+    # (a 114 MB peak); folded, each is freed as the next unit runs, and a
+    # conv copies its columns a few samples at a time (6.3 MB; 18 MB with
+    # the whole batch's columns)
     m = _desk_model()
     x = _input(4, n=32)
     tracemalloc.start()
@@ -172,7 +174,7 @@ def test_eval_forward_of_a_trainable_backbone_holds_no_graph_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25e6
+    assert peak <= 10e6
 
 
 def test_forward_returns_probability_rows():

@@ -329,6 +329,99 @@ def test_conv_weight_gradient_bits_match_the_batch_columns(monkeypatch, n):
         _assert_same_bits(grad_weight(g), want, (chw, wshape, stride, padding))
 
 
+def _fold_batch_columns(dcol, shape, stride, ph, pw):
+    # col2im: window gradients [N,C,kh,kw,OH,OW] added in row-major tap order
+    # onto a zeroed padded grid, then cropped to the unpadded [N,C,H,W] one
+    n, c, h, w = shape
+    kh, kw, oh, ow = dcol.shape[2:]
+    dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dcol.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcol[:, :, i, j]
+    return dxp[:, :, ph : ph + h, pw : pw + w]
+
+
+def _grad_x_from_batch_columns(shape, w, g, stride, padding):
+    # the batch's whole [N, C*kh*kw, OH*OW] column gradient, one GEMM per
+    # sample with the transposed [O, C*kh*kw] weights, folded by col2im
+    n, c = shape[:2]
+    o, _, kh, kw = w.shape
+    oh, ow = g.shape[2:]
+    ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+    dcol = w.reshape(o, c * kh * kw).T @ g.reshape(n, o, oh * ow)
+    return _fold_batch_columns(dcol.reshape(n, c, kh, kw, oh, ow), shape, stride, ph, pw)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_conv_input_gradient_bits_match_the_batch_columns(monkeypatch, n):
+    # one GEMM per kernel tap adds, per element, the products the column
+    # gradient held, in the same tap order
+    rng = SplitMix64(50 + n)
+    for chw, wshape, stride, padding in _desk_conv_shapes(monkeypatch):
+        x = T.Tensor(_rand(rng, (n, *chw), np.float32), requires_grad=True)
+        w = _rand(rng, wshape, np.float32)
+        y = T.conv2d(x, T.Tensor(w), stride=stride, padding=padding)
+        g = _rand(rng, y.shape, np.float32)
+        (grad_x,) = y._grad_fns
+        want = _grad_x_from_batch_columns(x.shape, w, g, stride, padding)
+        _assert_same_bits(grad_x(g), want, (chw, wshape, stride, padding))
+
+
+def test_avg_pool_gradient_bits_match_the_batch_columns():
+    # each window cell gets its share g / (k*k), added in row-major window order
+    rng = SplitMix64(60)
+    for k, stride, padding, x in _avg_pool_grid(np.float32, False):
+        y = T.pool2d(T.Tensor(x, requires_grad=True), "avg", k, stride, padding)
+        g = _rand(rng, y.shape, np.float32)
+        n, c, oh, ow = y.shape
+        share = np.broadcast_to((g / (k * k))[:, :, None, None], (n, c, k, k, oh, ow))
+        want = _fold_batch_columns(share, x.shape, stride, padding, padding)
+        (grad_x,) = y._grad_fns
+        _assert_same_bits(grad_x(g), want, (k, stride, padding))
+
+
+def test_conv_forward_bits_do_not_depend_on_the_column_chunk(monkeypatch):
+    # one-sample chunks and one whole-batch chunk give the same bytes: each
+    # sample is one GEMM either way
+    shapes = _desk_conv_shapes(monkeypatch)
+    rng = SplitMix64(70)
+    for chw, wshape, stride, padding in shapes:
+        x = T.Tensor(_rand(rng, (32, *chw), np.float32))
+        w = T.Tensor(_rand(rng, wshape, np.float32))
+        b = T.Tensor(_rand(rng, wshape[:1], np.float32))
+        outs = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(T, "_COLUMN_BYTES", budget)
+            outs.append(T.conv2d(x, w, b, stride=stride, padding=padding).data)
+        monkeypatch.undo()
+        outs.append(T.conv2d(x, w, b, stride=stride, padding=padding).data)
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes(), (chw, wshape)
+
+
+def test_batch_32_conv_copies_its_columns_in_chunks():
+    # the desk stem's second conv in a batch-32 eval: its whole column array
+    # would take 13.3 MB; chunks of whole samples keep them under two budgets
+    rng = SplitMix64(71)
+    x = T.Tensor(rng.normal(shape=(32, 8, 38, 38)).astype(np.float32))
+    w = T.Tensor(rng.normal(shape=(8, 8, 3, 3)).astype(np.float32))
+    y, peak = _peak_bytes(lambda: T.conv2d(x, w, padding=1))
+    padded = 32 * 8 * 40 * 40 * 4
+    assert peak < y.data.nbytes + padded + 2 * T._COLUMN_BYTES
+
+
+def test_conv_input_gradient_holds_one_tap_product():
+    # the full-profile 5x5 branch: a [N, C*25, OH*OW] column gradient would
+    # take 25 times dx; one tap's product beside the padded dx fits under 3x
+    rng = SplitMix64(72)
+    x = T.Tensor(rng.normal(shape=(2, 16, 75, 75)).astype(np.float32), requires_grad=True)
+    w = T.Tensor(rng.normal(shape=(24, 16, 5, 5)).astype(np.float32))
+    y = T.conv2d(x, w, padding=2)
+    g = np.ones(y.shape, dtype=np.float32)
+    (grad_x,) = y._grad_fns
+    dx, peak = _peak_bytes(lambda: grad_x(g))
+    assert peak < 3 * dx.nbytes
+
+
 def test_pool2d_max_tie_routes_to_lowest_flat_index():
     x = np.zeros((1, 1, 2, 2))  # all four values tie
     t = T.Tensor(x, requires_grad=True)
