@@ -3,8 +3,8 @@ evaluated by a staged cascade across a sliding-window scale pyramid.
 
 Cascades are not trained here; they arrive through the legacy XML importer
 (stump subset) or the native JSON format.  All integral-image arithmetic is
-exact 64-bit integer math, so feature values carry no floating-point error
-until the final variance normalization.
+exact integer math, in int64 or in float64 phases below 2**53, so feature
+values carry no rounding error until the final variance normalization.
 """
 
 from __future__ import annotations
@@ -227,41 +227,57 @@ def _scale_rects(cascade: Cascade, scale: float) -> list:
     return scaled
 
 
-def _stage_margins(ii: IntegralImage, scaled_stages: list, win_w: int, win_h: int,
+def _stage_margins(tables, scaled_stages: list, win_w: int, win_h: int,
                    x0: int, y0: int, nx: int, ny: int, step: int) -> tuple:
     """Run a scaled cascade over a raster of windows, one stage at a time.
 
-    The raster holds ``ny`` rows of ``nx`` windows with origins
-    ``(x0 + step * i, y0 + step * j)``; every rect must lie inside the
-    image.  Each stage sees only the windows no earlier stage rejected.
-    Returns the row-major raster indices of the windows the last evaluated
-    stage saw and that stage's margins (stage sum minus stage threshold);
-    a window passed every stage when its margin is not below 0.  An empty
-    cascade returns every window with margin 0.
+    ``tables`` maps each residue ``(py, px)`` to the phase ``table[py::step,
+    px::step]``, of the integral and then of the squared table.  The raster
+    holds ``ny`` rows of ``nx`` windows with phase origins ``(x0 + i, y0 +
+    j)``; every rect must lie inside the image.  Each stage sees only the
+    windows no earlier stage rejected.  Returns the row-major raster indices
+    of the windows the last evaluated stage saw and that stage's margins
+    (stage sum minus stage threshold); a window passed every stage when its
+    margin is not below 0.  An empty cascade returns every window with margin 0.
 
     Per window this performs the float64 operations of a one-window
     evaluation in the same order: mean, then variance, std 1.0 unless the
-    variance is positive, each feature value summed rect by rect from 0.0,
-    each stage sum stump by stump from 0.0.  Stage one reads strided views
-    of the integral tables; later stages gather the survivors' entries.
+    variance is positive, each feature value summed rect by rect, each
+    stage sum stump by stump from 0.0.  Stage one reads row slices of the
+    phases; later stages gather the survivors' entries from a flat base
+    made once a stage per phase read.
     """
-    stride = ii.width + 1
-    origins = None  # flat table offsets of the survivors; None while every window is in play
+    bases = None  # residue -> flat phase, survivors' offsets in it, width; None on the raster
 
-    def corner(table, dy, dx):
+    def corner(phases, dy, dx):
         """The table entry ``(dy, dx)`` past the origin of each window in play."""
-        if origins is None:
-            return table[y0 + dy:y0 + dy + step * ny:step, x0 + dx:x0 + dx + step * nx:step]
-        return table.ravel().take(origins + (dy * stride + dx))
+        qy, py = divmod(dy, step)
+        qx, px = divmod(dx, step)
+        if bases is None:
+            return phases[py, px][y0 + qy:y0 + qy + ny, x0 + qx:x0 + qx + nx]
+        at = bases.get((py, px))
+        if at is None:
+            pw = phases[py, px].shape[1]
+            at = bases[py, px] = phases[py, px].ravel(), (y0 + rows) * pw + x0 + cols, pw
+        flat, base, pw = at
+        return flat.take(base + (qy * pw + qx))
 
-    def sums(table, rx, ry, rw, rh):
-        return (corner(table, ry + rh, rx + rw) - corner(table, ry, rx + rw)
-                - corner(table, ry + rh, rx) + corner(table, ry, rx)).ravel()
+    def sums(phases, rx, ry, rw, rh):
+        """The rect sums of the windows in play, in float64 from any phase dtype."""
+        s = np.subtract(corner(phases, ry + rh, rx + rw), corner(phases, ry, rx + rw),
+                        dtype=np.float64)
+        s -= corner(phases, ry + rh, rx)
+        s += corner(phases, ry, rx)
+        return s.ravel()
 
     area = win_w * win_h
-    mean = sums(ii.table, 0, 0, win_w, win_h) / area
-    variance = sums(ii.squared_table, 0, 0, win_w, win_h) / area - mean * mean
-    norm = np.sqrt(variance, out=np.ones_like(variance), where=variance > 0) * area
+    total = sums(tables[0], 0, 0, win_w, win_h)
+    norm = sums(tables[1], 0, 0, win_w, win_h)
+    norm /= area
+    norm -= np.square(total / area)  # the variance
+    np.sqrt(np.maximum(norm, 0.0, out=norm), out=norm)  # 0 just where the variance is not positive
+    norm[norm == 0.0] = 1.0
+    norm *= area
 
     idx = np.arange(nx * ny)
     margin = np.zeros(nx * ny)
@@ -270,15 +286,22 @@ def _stage_margins(ii: IntegralImage, scaled_stages: list, win_w: int, win_h: in
             keep = ~(margin < 0)
             if not keep.any():
                 break
-            idx, norm = idx[keep], norm[keep]
-            origins = (y0 + step * (idx // nx)) * stride + x0 + step * (idx % nx)
-        stage_sum = np.zeros(idx.size)
+            idx, norm, total = idx[keep], norm[keep], total[keep]
+            rows, cols = np.divmod(idx, nx)
+            bases = {}
+        margin = np.zeros(idx.size)
         for rects, threshold, left, right in stage_rects:
             value = 0.0
             for rx, ry, rw, rh, weight in rects:
-                value = value + weight * sums(ii.table, rx, ry, rw, rh)
-            stage_sum = stage_sum + np.where(value / norm < threshold, left, right)
-        margin = stage_sum - stage_threshold
+                if (rx, ry, rw, rh) == (0, 0, win_w, win_h):  # reuse the mean's window sum
+                    term = weight * total
+                else:
+                    term = sums(tables[0], rx, ry, rw, rh)
+                    term *= weight
+                value = np.add(term, value, out=term)
+            value /= norm
+            margin += np.where(value < threshold, left, right)
+        margin -= stage_threshold
     return idx, margin
 
 
@@ -309,7 +332,8 @@ def eval_window(ii: IntegralImage, cascade: Cascade, origin, scale: float) -> Wi
                 if x + rx + rw > ii.width or y + ry + rh > ii.height:
                     raise InputError(f"rect (x={x + rx}, y={y + ry}, w={rw}, h={rh}) "
                                      f"outside {ii.width}x{ii.height} image")
-    _, margin = _stage_margins(ii, scaled, win_w, win_h, x, y, 1, 1, 1)
+    _, margin = _stage_margins(({(0, 0): ii.table}, {(0, 0): ii.squared_table}), scaled,
+                               win_w, win_h, x, y, 1, 1, 1)
     return WindowResult(not margin[0] < 0, float(margin[0]))
 
 
@@ -526,13 +550,12 @@ def _pyramid(cascade: Cascade, params: DetectParams, width: int, height: int) ->
         scale *= params.scale_factor
 
 
-def _scan_scale(ii: IntegralImage, cascade: Cascade, scale: float, step: int) -> list:
+def _scan_scale(tables: list, win_w: int, win_h: int, scaled: list, width: int, height: int,
+                step: int) -> list:
     """Raw boxes of the windows one scale accepts, in raster order."""
-    win_w, win_h = _window_size(cascade, scale)
-    nx = len(range(0, ii.width - win_w + 1, step))
-    ny = len(range(0, ii.height - win_h + 1, step))
-    idx, margin = _stage_margins(ii, _scale_rects(cascade, scale), win_w, win_h,
-                                 0, 0, nx, ny, step)
+    nx = len(range(0, width - win_w + 1, step))
+    ny = len(range(0, height - win_h + 1, step))
+    idx, margin = _stage_margins(tables, scaled, win_w, win_h, 0, 0, nx, ny, step)
     hit = ~(margin < 0)
     rows, cols = np.divmod(idx[hit], nx)
     return [DetectionBox(x, y, win_w, win_h, score) for x, y, score in
@@ -563,8 +586,24 @@ def detect(gray: np.ndarray, cascade: Cascade, params: Optional[DetectParams] = 
     cascade.validate()
 
     h, w = gray.shape
-    scales = _pyramid(cascade, params, w, h)
-    raw = [box for scale in scales for box in _scan_scale(ii, cascade, scale, params.step)]
+    step = min(params.step, h + w)  # a step past the image scans the windows at (0, 0) alone
+    scans = [(*_window_size(cascade, scale), _scale_rects(cascade, scale))
+             for scale in _pyramid(cascade, params, w, h)]
+    # the scan reads float64 phases table[py::step, px::step] for the residues
+    # its corner offsets touch; integers below 2**53, so every sum is exact
+    touched = set()
+    for win_w, win_h, scaled in scans:
+        if len(touched) < min(step, h + 1) * min(step, w + 1):
+            rects = [(0, 0, win_w, win_h)] + [rect[:4] for stage_rects, _ in scaled
+                                              for rects, *_ in stage_rects for rect in rects]
+            touched.update((dy % step, dx % step) for rx, ry, rw, rh in rects
+                           for dy in (ry, ry + rh) for dx in (rx, rx + rw))
+    tables = [ii.table, ii.squared_table]
+    del ii
+    for k in (0, 1):  # each int64 table is dropped as soon as its phases exist
+        tables[k] = {(py, px): tables[k][py::step, px::step].astype(np.float64)
+                     for py, px in touched}
+    raw = [box for scan in scans for box in _scan_scale(tables, *scan, w, h, step)]
     grouped = group_boxes(raw, params.min_neighbors)
     grouped.sort(key=lambda b: (-b.score, b.y, b.x, b.w, b.h))
     return grouped

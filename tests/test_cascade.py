@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,49 @@ def test_detect_refuses_a_nan_scale_factor():
         detect(_band_image(), load_cascade_xml(FIXTURE_XML), DetectParams(scale_factor=math.nan))
 
 
+def _traced_peak(call):
+    """``call()`` and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("step", [10**6, 10**18, 10**19, 10**30])
+def test_detect_at_a_step_past_the_image_splits_no_step_squared_phases(step):
+    # each scale scans the one window at (0, 0); the scan splits the tables
+    # only into the phases its corner offsets touch, never into step**2 of
+    # them, and a step past numpy's integer range is no OverflowError
+    gray = np.full((48, 64), 50, dtype=np.uint8)
+    gray[:24] = 200
+    casc = load_cascade_xml(FIXTURE_XML)
+    params = DetectParams(step=step, min_neighbors=0)
+    boxes, peak = _traced_peak(lambda: detect(gray, casc, params))
+    assert boxes == _group_boxes_loop(_scalar_raw_boxes(gray, casc, params), 0)
+    assert boxes == [DetectionBox(0, 0, 45, 45, 0.5)]
+    assert peak < 256 * 1024
+
+
+def test_a_640x480_detect_holds_the_integral_tables_once():
+    # the int64 tables go as soon as their float64 phases exist, and the scan
+    # keeps no index arrays of a scale into the next; the peak (8.6 MB on
+    # numpy 2.4) is integral_image's own.  Holding both copies, or the
+    # strided int64 scan, peaked at 10.1 MB
+    rng = np.random.default_rng(5)
+    gray = (120 + rng.uniform(-10, 10, (480, 640))).astype(np.uint8)
+    bands = ((40, 40), (300, 200), (500, 380))
+    for x, y in bands:
+        gray[y:y + 24, x:x + 48] = 210
+        gray[y + 24:y + 48, x:x + 48] = 40
+    casc = load_cascade_xml(FIXTURE_XML)
+    boxes, peak = _traced_peak(lambda: detect(gray, casc))
+    assert len(boxes) == len(bands)
+    assert all(any(b.x <= x + 24 < b.x + b.w and b.y <= y + 24 < b.y + b.h for b in boxes)
+               for x, y in bands)
+    assert peak < 9.4e6
+
+
 def test_detect_deterministic():
     casc = load_cascade_xml(FIXTURE_XML)
     img = _band_image()
@@ -686,6 +730,12 @@ _ORACLE_CASES = [
     (1003, 4, 97, 61, 2, 1.35),
     (1112, 2, 37, 53, 1, 1.5),
     (1204, 3, 97, 61, 2, 1.2),
+    # thousands of windows reach stage 3 or 4, whose gathers read phases of
+    # unequal widths: 49 and 48 at step 2, 33, 33 and 32 at step 3
+    (1429, 4, 96, 61, 2, 1.2),
+    (1508, 3, 97, 61, 3, 1.2),
+    # a first-stage rect that is the whole window, whose sum the scan reuses
+    (1777, 2, 97, 61, 2, 1.25),
 ]
 
 
@@ -722,6 +772,11 @@ def test_oracle_cases_cover_the_edge_cases():
     assert any(r.x + r.w == casc.base_width for casc, r in rects)
     assert any(r.y + r.h == casc.base_height for casc, r in rects)
     assert {case[4] for case in _ORACLE_CASES} == {1, 2, 3}
+    assert any(r == HaarRect(0, 0, casc.base_width, casc.base_height, r.weight)
+               for casc, _, _ in cases if casc.stages
+               for wc in casc.stages[0].weak_classifiers for r in wc.feature.rects)
+    assert any((width + 1) % step
+               for _, stages, width, height, step, _ in _ORACLE_CASES if stages >= 3)
     flat = 0
     for casc, gray, _ in cases:
         windows = np.lib.stride_tricks.sliding_window_view(
