@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import Config, read_json, write_json
-from .errors import CascadeFormatError, InputError, ParameterError
+from .errors import CascadeFormatError, ConfigError, InputError, ParameterError
 
 # bound on the pyramid: the default scale_factor 1.1 needs about 32 scales at 640x480
 MAX_SCALES = 1000
@@ -95,7 +95,7 @@ class HaarRect:
 
 @dataclass(frozen=True)
 class HaarFeature:
-    rects: tuple
+    rects: tuple[HaarRect, ...]
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class WeakClassifier:
 
 @dataclass(frozen=True)
 class Stage:
-    weak_classifiers: tuple
+    weak_classifiers: tuple[WeakClassifier, ...]
     stage_threshold: float
 
 
@@ -121,7 +121,7 @@ def _dotted(steps) -> str:
 class Cascade:
     base_width: int
     base_height: int
-    stages: tuple
+    stages: tuple[Stage, ...]
 
     def validate(self, node=_dotted) -> None:
         """Check the rules every cascade meets, whatever file it came from.
@@ -222,8 +222,10 @@ def _scale_rects(cascade: Cascade, scale: float) -> list:
                 rh = max(1, int(round((r.y + r.h) * scale)) - ry)
                 weight = r.weight * (r.w * r.h * scale * scale) / (rw * rh)
                 rects.append((rx, ry, rw, rh, weight))
-            stage_rects.append((tuple(rects), wc.threshold, wc.left_value, wc.right_value))
-        scaled.append((tuple(stage_rects), stage.stage_threshold))
+            # float(): a Python int past int64 cannot reach numpy
+            stage_rects.append((tuple(rects), float(wc.threshold), float(wc.left_value),
+                                float(wc.right_value)))
+        scaled.append((tuple(stage_rects), float(stage.stage_threshold)))
     return scaled
 
 
@@ -734,56 +736,32 @@ def load_cascade_xml(path) -> Cascade:
 # -- native JSON format ------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _CascadeFile(Config):
+    """A cascade's JSON document, as the config codec decodes and encodes it."""
+    base_window: tuple[int, int]
+    stages: tuple[Stage, ...]
+
+
+def _from_document(doc, path) -> Cascade:
+    """The cascade a decoded JSON document holds, checked by the codec and
+    then by ``Cascade.validate``; a problem names ``path`` and the node."""
+    try:
+        file = _CascadeFile.from_dict(doc)
+        cascade = Cascade(*file.base_window, file.stages)
+        cascade.validate()
+    except (ConfigError, CascadeFormatError) as e:
+        problems = str(e).removeprefix("config validation failed:\n  ")
+        raise CascadeFormatError(f"{path}: {problems}") from None
+    return cascade
+
+
 def save_cascade_json(cascade: Cascade, path) -> None:
-    """Write the documented JSON schema (see ``load_cascade_json``)."""
-    cascade.validate()
-    doc = {
-        "base_window": [cascade.base_width, cascade.base_height],
-        "stages": [
-            {
-                "stage_threshold": stage.stage_threshold,
-                "weak_classifiers": [
-                    {
-                        "feature": {
-                            "rects": [
-                                {"x": r.x, "y": r.y, "w": r.w, "h": r.h, "weight": r.weight}
-                                for r in wc.feature.rects
-                            ]
-                        },
-                        "threshold": wc.threshold,
-                        "left_value": wc.left_value,
-                        "right_value": wc.right_value,
-                    }
-                    for wc in stage.weak_classifiers
-                ],
-            }
-            for stage in cascade.stages
-        ],
-    }
+    """Write the documented JSON schema (see ``load_cascade_json``); a cascade
+    it would not load raises :class:`CascadeFormatError` and writes nothing."""
+    doc = _CascadeFile((cascade.base_width, cascade.base_height), cascade.stages).to_dict()
+    _from_document(doc, path)
     write_json(path, doc)
-
-
-def _want(obj, key, kind, pointer: str, file):
-    if not isinstance(obj, dict) or key not in obj:
-        raise CascadeFormatError(f"{file}: {pointer}/{key}: missing required field")
-    value = obj[key]
-    if kind == "number":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CascadeFormatError(f"{file}: {pointer}/{key}: expected a number")
-        try:
-            return float(value)
-        except OverflowError as e:  # an integer literal past the float range
-            raise CascadeFormatError(f"{file}: {pointer}/{key}: number out of range") from e
-    elif kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise CascadeFormatError(f"{file}: {pointer}/{key}: expected an integer")
-    elif kind == "list":
-        if not isinstance(value, list):
-            raise CascadeFormatError(f"{file}: {pointer}/{key}: expected a list")
-    elif kind == "object":
-        if not isinstance(value, dict):
-            raise CascadeFormatError(f"{file}: {pointer}/{key}: expected an object")
-    return value
 
 
 def load_cascade_json(path) -> Cascade:
@@ -792,49 +770,13 @@ def load_cascade_json(path) -> Cascade:
     Schema: an object with "base_window": [w, h] and "stages": a list of
     {"stage_threshold": number, "weak_classifiers": [{"feature":
     {"rects": [{"x","y","w","h","weight"}, ...2 or 3]}, "threshold",
-    "left_value", "right_value"}]}.  Violations are reported by JSON
-    pointer.
+    "left_value", "right_value"}]}.  The config codec decodes it, so every
+    number is finite and an integer stays an ``int``, and a violation is
+    reported by dotted path, e.g. ``stages[0].stage_threshold``.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as e:
         raise CascadeFormatError(f"{path}: cannot read: {e}") from e
-    doc = read_json(raw, CascadeFormatError, f"{path}: not valid JSON")
-    if not isinstance(doc, dict):
-        raise CascadeFormatError(f"{path}: /: expected a JSON object")
-
-    window = _want(doc, "base_window", "list", "", path)
-    if len(window) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
-                                   for v in window):
-        raise CascadeFormatError(f"{path}: /base_window: expected [width, height] integers")
-
-    stages = []
-    for i, stage_doc in enumerate(_want(doc, "stages", "list", "", path)):
-        sp = f"/stages/{i}"
-        if not isinstance(stage_doc, dict):
-            raise CascadeFormatError(f"{path}: {sp}: expected an object")
-        threshold = _want(stage_doc, "stage_threshold", "number", sp, path)
-        weak = []
-        for j, wc_doc in enumerate(_want(stage_doc, "weak_classifiers", "list", sp, path)):
-            wp = f"{sp}/weak_classifiers/{j}"
-            if not isinstance(wc_doc, dict):
-                raise CascadeFormatError(f"{path}: {wp}: expected an object")
-            feature = _want(wc_doc, "feature", "object", wp, path)
-            rects = []
-            for k, rect_doc in enumerate(_want(feature, "rects", "list", f"{wp}/feature", path)):
-                rp = f"{wp}/feature/rects/{k}"
-                if not isinstance(rect_doc, dict):
-                    raise CascadeFormatError(f"{path}: {rp}: expected an object")
-                rects.append(HaarRect(*(_want(rect_doc, key, "int", rp, path) for key in "xywh"),
-                                      _want(rect_doc, "weight", "number", rp, path)))
-            weak.append(WeakClassifier(
-                HaarFeature(tuple(rects)),
-                _want(wc_doc, "threshold", "number", wp, path),
-                _want(wc_doc, "left_value", "number", wp, path),
-                _want(wc_doc, "right_value", "number", wp, path),
-            ))
-        stages.append(Stage(tuple(weak), threshold))
-    cascade = Cascade(*window, tuple(stages))
-    cascade.validate(lambda steps: f"{path}: /" + "/".join(map(str, steps)))
-    return cascade
+    return _from_document(read_json(raw, CascadeFormatError, f"{path}: not valid JSON"), path)

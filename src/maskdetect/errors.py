@@ -36,7 +36,7 @@ class CheckpointError(MaskDetectError):
 
 class CascadeFormatError(MaskDetectError):
     """A cascade file (XML or JSON) is malformed; message carries the
-    element path or JSON pointer of the offending node."""
+    element path (XML) or dotted path (JSON) of the offending node."""
 
 
 class PPMError(MaskDetectError):

@@ -999,6 +999,53 @@ def test_json_and_xml_detect_identically(tmp_path):
     assert detect(img, xml_casc) == detect(img, json_casc)
 
 
+# sha256 of the bytes save_cascade_json writes: a saved cascade is a file
+# format, so a change to these bytes is a change of format
+@pytest.mark.parametrize("build,rect_counts,digest", [
+    (lambda: load_cascade_xml(FIXTURE_XML), {2},
+     "ee21bec4892cfdf3e0b89ec22bdaab3927e5504eba586f7d5dc3982eee737e28"),
+    (lambda: _random_cascade(SplitMix64(14), 8), {2, 3},
+     "c7fc1d110bbea378cd8cfaabf083d334dcd382dd92237fb434832f7c73a32dc4"),
+], ids=["xml-fixture", "generated"])
+def test_saved_json_bytes_are_pinned(tmp_path, build, rect_counts, digest):
+    casc = build()
+    assert all(math.isfinite(s.stage_threshold) for s in casc.stages)
+    assert {len(wc.feature.rects) for s in casc.stages for wc in s.weak_classifiers} \
+        == rect_counts
+    p = tmp_path / "c.json"
+    save_cascade_json(casc, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+
+def _int_and_float_cascades():
+    """One cascade with integer numbers, small and past int64, and its twin
+    with each number as a float; every integer here is exact as a float."""
+    def build(num):
+        feature = HaarFeature((HaarRect(0, 0, 24, 24, num(-1)), HaarRect(0, 0, 24, 12, num(2))))
+        return Cascade(24, 24, (
+            Stage((WeakClassifier(feature, num(1), num(-1), num(1)),), num(0)),
+            Stage((WeakClassifier(feature, num(0), num(-1), num(10**20)),), num(1)),
+        ))
+    return build(int), build(float)
+
+
+def _box_bytes(boxes):
+    return [(b.x, b.y, b.w, b.h, np.float64(b.score).tobytes()) for b in boxes]
+
+
+def test_integer_cascade_numbers_detect_like_their_float_twins(tmp_path):
+    ints, floats = _int_and_float_cascades()
+    img = _band_image()
+    expected = _box_bytes(detect(img, floats, DetectParams(min_neighbors=1)))
+    assert expected
+    assert _box_bytes(detect(img, ints, DetectParams(min_neighbors=1))) == expected
+    p = tmp_path / "ints.json"
+    save_cascade_json(ints, p)
+    assert '"right_value": 100000000000000000000' in p.read_text()
+    assert _box_bytes(detect(img, load_cascade_json(p), DetectParams(min_neighbors=1))) \
+        == expected
+
+
 def test_json_missing_stage_threshold_pointer(tmp_path):
     doc = {
         "base_window": [24, 24],
@@ -1006,7 +1053,7 @@ def test_json_missing_stage_threshold_pointer(tmp_path):
     }
     p = tmp_path / "c.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(CascadeFormatError, match="/stages/0/stage_threshold"):
+    with pytest.raises(CascadeFormatError, match=rf"{p}: stages\[0\]\.stage_threshold: "):
         load_cascade_json(p)
 
 
@@ -1021,15 +1068,15 @@ def test_json_schema_violations_report_pointers(tmp_path):
     p = tmp_path / "c.json"
 
     p.write_text("[]")
-    with pytest.raises(CascadeFormatError, match="expected a JSON object"):
+    with pytest.raises(CascadeFormatError, match=f"{p}: config: expected an object"):
         load_cascade_json(p)
 
     p.write_text(json.dumps({"stages": []}))
-    with pytest.raises(CascadeFormatError, match="/base_window"):
+    with pytest.raises(CascadeFormatError, match=f"{p}: base_window: "):
         load_cascade_json(p)
 
     p.write_text(json.dumps({"base_window": [24, 0], "stages": []}))
-    with pytest.raises(CascadeFormatError, match="/base_window"):
+    with pytest.raises(CascadeFormatError, match=f"{p}: base_window: "):
         load_cascade_json(p)
 
     bad_rect = {
@@ -1047,7 +1094,7 @@ def test_json_schema_violations_report_pointers(tmp_path):
     }
     p.write_text(json.dumps(bad_rect))
     with pytest.raises(CascadeFormatError,
-                       match="/stages/0/weak_classifiers/0/feature/rects/0"):
+                       match=rf"{p}: stages\[0\]\.weak_classifiers\[0\]\.feature\.rects\[0\]: "):
         load_cascade_json(p)
 
     p.write_text("{nope")
@@ -1059,13 +1106,35 @@ def test_json_schema_violations_report_pointers(tmp_path):
     ('{"base_window": [' + "1" * 5000 + ', 24], "stages": []}', "not valid JSON"),
     ("[" * 100000 + "]" * 100000, "not valid JSON"),
     ('{"base_window": [24, 24], "stages": [{"stage_threshold": 1' + "0" * 400
-     + ', "weak_classifiers": []}]}', "/stages/0/stage_threshold"),
+     + ', "weak_classifiers": []}]}', r"stages\[0\]\.stage_threshold: number out of range"),
 ], ids=["5000-digit-int", "deep-nesting", "int-past-float-range"])
 def test_json_numbers_and_nesting_past_the_parser_are_format_errors(tmp_path, text, match):
     p = tmp_path / "c.json"
     p.write_text(text)
     with pytest.raises(CascadeFormatError, match=match):
         load_cascade_json(p)
+
+
+def test_json_unknown_key_is_refused_by_its_dotted_path(tmp_path):
+    p = tmp_path / "c.json"
+    save_cascade_json(_two_rect_cascade(), p)
+    doc = json.loads(p.read_text())
+    doc["stages"][0]["weak_classifiers"][0]["feature"]["tilted"] = 0
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CascadeFormatError, match=rf"^{p}: unknown config key: "
+                       r"stages\[0\]\.weak_classifiers\[0\]\.feature\.tilted$"):
+        load_cascade_json(p)
+
+
+def test_json_error_quotes_a_bounded_part_of_a_large_value(tmp_path):
+    p = tmp_path / "c.json"
+    save_cascade_json(load_cascade_xml(FIXTURE_XML), p)
+    doc = json.loads(p.read_text())
+    doc["stages"] = {"all": doc["stages"] * 200}  # about 130 KB where a list belongs
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CascadeFormatError, match=f"^{p}: stages: expected a list, got ") as info:
+        load_cascade_json(p)
+    assert len(str(info.value)) < len(str(p)) + 100
 
 
 def test_cascade_validate_catches_bad_structures():
@@ -1093,38 +1162,49 @@ def _wc(doc):
     return doc["stages"][0]["weak_classifiers"][0]
 
 
-@pytest.mark.parametrize("mutate,pointer", [
-    (lambda d: d["stages"][0].update(stage_threshold=math.nan), "/stages/0/stage_threshold"),
-    (lambda d: _wc(d).update(threshold=math.nan), "/stages/0/weak_classifiers/0/threshold"),
+@pytest.mark.parametrize("mutate,node", [
+    (lambda d: d["stages"][0].update(stage_threshold=math.nan), r"stages\[0\]\.stage_threshold"),
+    (lambda d: _wc(d).update(threshold=math.nan),
+     r"stages\[0\]\.weak_classifiers\[0\]\.threshold"),
     (lambda d: _wc(d).update(left_value=math.inf, right_value=-math.inf),
-     "/stages/0/weak_classifiers/0/left_value"),
-    (lambda d: _wc(d).update(right_value=math.nan), "/stages/0/weak_classifiers/0/right_value"),
+     r"stages\[0\]\.weak_classifiers\[0\]\.left_value"),
+    (lambda d: _wc(d).update(right_value=math.nan),
+     r"stages\[0\]\.weak_classifiers\[0\]\.right_value"),
     (lambda d: _wc(d)["feature"]["rects"][1].update(weight=-math.inf),
-     "/stages/0/weak_classifiers/0/feature/rects/1"),
-    (lambda d: d.update(base_window=[10**400, 24]), "/base_window"),
-    (lambda d: d.update(base_window=[24, cascade_module.MAX_BASE_WINDOW + 1]), "/base_window"),
+     r"stages\[0\]\.weak_classifiers\[0\]\.feature\.rects\[1\]\.weight"),
+    (lambda d: d.update(base_window=[10**400, 24]), r"base_window\[0\]"),
+    (lambda d: d.update(base_window=[24, cascade_module.MAX_BASE_WINDOW + 1]), "base_window"),
 ], ids=["nan-stage-threshold", "nan-stump-threshold", "infinite-votes", "nan-vote",
         "infinite-weight", "400-digit-window", "window-past-the-bound"])
-def test_json_cascade_rules_name_the_node(tmp_path, mutate, pointer):
+def test_json_cascade_rules_name_the_node(tmp_path, mutate, node):
     doc = _json_doc(tmp_path)
     mutate(doc)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
-    with pytest.raises(CascadeFormatError, match=f"{p}: {pointer}: "):
+    with pytest.raises(CascadeFormatError, match=f"{p}: {node}: "):
         load_cascade_json(p)
 
 
-def test_json_nan_stage_threshold_refused_where_infinite_ones_load(tmp_path):
+def test_json_stage_threshold_must_be_finite_on_load_and_save(tmp_path):
     doc = _json_doc(tmp_path)
-    p = tmp_path / "c.json"
+    p, q = tmp_path / "c.json", tmp_path / "saved.json"
     for threshold in (math.inf, -math.inf):
+        # JSON numbers are finite, like those of every JSON file the codec reads
         doc["stages"][0]["stage_threshold"] = threshold
         p.write_text(json.dumps(doc))
-        assert load_cascade_json(p).stages[0].stage_threshold == threshold
+        with pytest.raises(CascadeFormatError, match=rf"{p}: stages\[0\]\.stage_threshold: "):
+            load_cascade_json(p)
+        # valid in code (and from XML), but no JSON file holds it
+        stage = _two_rect_cascade().stages[0]
+        casc = Cascade(24, 24, (Stage(stage.weak_classifiers, threshold),))
+        casc.validate()
+        with pytest.raises(CascadeFormatError, match=rf"{q}: stages\[0\]\.stage_threshold: "):
+            save_cascade_json(casc, q)
+        assert not q.exists()
     # NaN would pass every window: the stage test ``margin < 0`` is false for it
     doc["stages"][0]["stage_threshold"] = math.nan
     p.write_text(json.dumps(doc))
-    with pytest.raises(CascadeFormatError, match="/stages/0/stage_threshold"):
+    with pytest.raises(CascadeFormatError, match=rf"{p}: stages\[0\]\.stage_threshold: "):
         load_cascade_json(p)
 
 

@@ -137,6 +137,31 @@ def test_top_level_must_be_an_object():
     assert "config: expected an object" in _problems(Outer, [1])
 
 
+@dataclass(frozen=True)
+class Leaf:
+    x: int
+    weight: float
+
+
+@dataclass(frozen=True)
+class Tree(Config):
+    leaves: tuple[Leaf, ...]
+    name: str = "tree"
+
+
+def test_sections_with_required_fields_decode_from_their_keys():
+    doc = {"leaves": [{"x": 1, "weight": 0.5}, {"x": 2, "weight": 3}]}
+    assert Tree.from_dict(doc) == Tree((Leaf(1, 0.5), Leaf(2, 3)))
+    assert Tree.from_dict(doc).to_dict() == {**doc, "name": "tree"}
+    # each item's problem is named by its dotted path, all in one error
+    problems = _problems(Tree, {"leaves": [{"weight": 1.0}, {"x": "2", "weight": 1.0},
+                                           {"x": 3, "weight": 1.0, "z": 0}]})
+    assert "leaves[0].x: missing required key" in problems
+    assert "leaves[1].x: expected an integer, got '2'" in problems
+    assert "unknown config key: leaves[2].z" in problems
+    assert "leaves: missing required key" in _problems(Tree, {"name": "t"})
+
+
 def test_parse_text_follows_the_field_type():
     assert parse_text(int, "16") == 16
     assert parse_text(float, "1e-3") == 1e-3
