@@ -19,7 +19,8 @@ flags > config file > built-in defaults, and the merged result is echoed
 into the output location so every run records exactly what it ran with.
 
 Exit codes: 0 success, 1 runtime failure (bad file contents, I/O), 2
-usage or configuration error.  All error text goes to stderr.
+usage or configuration error, 130 interrupted (Ctrl-C).  All error text
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -564,12 +565,12 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MaskDetectError as exc:
+    except (MaskDetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a run stopped by Ctrl-C
 
 
 if __name__ == "__main__":

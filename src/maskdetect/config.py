@@ -130,7 +130,8 @@ def _decode_fields(cls, data, path: str, problems: list, default):
             kwargs[key] = _decode(hints[key], value, where, problems, getattr(default, key, None))
             well_typed = well_typed and kwargs[key] is not _BAD
         else:
-            problems.append(f"unknown config key: {where}")
+            # the key comes from the document, so it is quoted in bounded form
+            problems.append(f"unknown config key: {prefix}{_REPR.repr(key)[1:-1]}")
             well_typed = False
     missing = [key for key in required if key not in data] if default is None else []
     problems.extend(f"{prefix}{key}: missing required key" for key in missing)

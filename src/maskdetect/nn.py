@@ -13,7 +13,8 @@ on a CPU in minutes.
 
 Parameter names are stable dotted paths ("backbone.stem.0.conv.weight",
 "head.fc1.bias", ...) shared by the checkpoint format and the freeze /
-unfreeze machinery.
+unfreeze machinery.  No layer draws weights: :func:`build_model` draws
+them into a zero-weight :class:`Model`, which a checkpoint load fills.
 """
 
 from __future__ import annotations
@@ -35,9 +36,13 @@ def _scaled(base: int, mult: float) -> int:
     return max(1, int(round(base * mult)))
 
 
-def _he_uniform(rng: SplitMix64, fan_in: int, shape: tuple) -> np.ndarray:
-    bound = float(np.sqrt(6.0 / fan_in))
-    return rng.uniform(-bound, bound, shape=shape).astype(np.float32)
+def _he_uniform(parameters: Iterable[T.Parameter], rng: SplitMix64) -> None:
+    """Draw each conv and linear weight in ``parameters`` He-uniform from ``rng``, in order."""
+    for p in parameters:
+        if p.name.endswith(".weight"):
+            fan_in = p.data[0].size if p.data.ndim == 4 else p.data.shape[0]
+            bound = float(np.sqrt(6.0 / fan_in))
+            p.data[...] = rng.uniform(-bound, bound, shape=p.data.shape)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -123,16 +128,14 @@ class HeadConfig(Config):
 
 
 class Conv2d:
-    """Convolution without bias (a batch norm follows); weights drawn He-uniform from rng."""
+    """Convolution without bias (a batch norm follows)."""
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: tuple,
-                 stride: int, padding, rng: SplitMix64):
-        kh, kw = kernel
+                 stride: int, padding):
         self.stride = stride
         self.padding = padding
-        self.weight = T.Parameter(
-            name + ".weight", _he_uniform(rng, in_ch * kh * kw, (out_ch, in_ch, kh, kw))
-        )
+        self.weight = T.Parameter(name + ".weight",
+                                  np.zeros((out_ch, in_ch, *kernel), dtype=np.float32))
 
     def parameters(self) -> list:
         return [self.weight]
@@ -176,8 +179,8 @@ class ConvBnRelu:
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: tuple,
-                 stride: int, padding, rng: SplitMix64):
-        self.conv = Conv2d(name + ".conv", in_ch, out_ch, kernel, stride, padding, rng)
+                 stride: int, padding):
+        self.conv = Conv2d(name + ".conv", in_ch, out_ch, kernel, stride, padding)
         self.bn = BatchNorm2d(name + ".bn", out_ch)
         self.out_channels = out_ch
 
@@ -211,10 +214,9 @@ class ConvBnRelu:
 class Linear:
     """Affine layer; weight is [in_features, out_features]."""
 
-    def __init__(self, name: str, in_features: int, out_features: int, rng: SplitMix64):
-        self.weight = T.Parameter(
-            name + ".weight", _he_uniform(rng, in_features, (in_features, out_features))
-        )
+    def __init__(self, name: str, in_features: int, out_features: int):
+        self.weight = T.Parameter(name + ".weight",
+                                  np.zeros((in_features, out_features), dtype=np.float32))
         self.bias = T.Parameter(name + ".bias", np.zeros(out_features, dtype=np.float32))
 
     def forward(self, x: T.Tensor) -> T.Tensor:
@@ -252,15 +254,15 @@ class InceptionBlock:
     size is preserved by every branch.
     """
 
-    def __init__(self, name: str, in_ch: int, mult: float, factorized: bool, rng: SplitMix64):
+    def __init__(self, name: str, in_ch: int, mult: float, factorized: bool):
         self.branches = []
         for spec in _BRANCHES:
             if spec[0][0].startswith("b7x7") and not factorized:
                 continue
             branch, cin = [], in_ch
-            for suffix, width, kernel, padding in spec:  # units draw weights in table order
+            for suffix, width, kernel, padding in spec:
                 branch.append(ConvBnRelu(f"{name}.{suffix}", cin, _scaled(width, mult),
-                                         kernel, 1, padding, rng))
+                                         kernel, 1, padding))
                 cin = branch[-1].out_channels
             self.branches.append(branch)
         self.b1 = self.branches[0][0]
@@ -291,9 +293,11 @@ class InceptionBlock:
 class Model:
     """Backbone + pooled features + fully-connected head.
 
-    ``forward`` returns class probabilities; ``forward_logits`` stops
-    before the softmax so the fused cross-entropy can consume it.  Dropout
-    (train mode only) needs an explicit generator.
+    The constructor gives zero conv and linear weights, touching no page of
+    them; :func:`build_model` draws them.  ``forward`` returns class
+    probabilities; ``forward_logits`` stops before the softmax so the fused
+    cross-entropy can consume it.  Dropout (train mode only) needs an
+    explicit generator.
     """
 
     def __init__(self, backbone_config: BackboneConfig, head_config: HeadConfig, seed: int):
@@ -302,7 +306,6 @@ class Model:
         self.backbone_config = backbone_config
         self.head_config = head_config
         self.seed = seed
-        rng = SplitMix64(seed).derive("init")
 
         bc = backbone_config
         self.stem = []
@@ -310,13 +313,13 @@ class Model:
         for i, (ch, stride) in enumerate(zip(bc.stem_channels, bc.stem_strides)):
             out_ch = _scaled(ch, bc.width_mult)
             self.stem.append(
-                ConvBnRelu(f"backbone.stem.{i}", in_ch, out_ch, (3, 3), stride, 1, rng)
+                ConvBnRelu(f"backbone.stem.{i}", in_ch, out_ch, (3, 3), stride, 1)
             )
             in_ch = out_ch
         self.blocks = []
         for b in range(1, bc.num_blocks + 1):
             block = InceptionBlock(f"backbone.block{b}", in_ch, bc.width_mult,
-                                   b in bc.factorized_blocks, rng)
+                                   b in bc.factorized_blocks)
             self.blocks.append(block)
             in_ch = block.out_channels
         self.feature_dim = in_ch
@@ -325,9 +328,9 @@ class Model:
         self.fcs = []
         f_in = self.feature_dim
         for i in range(1, hc.hidden_layers + 1):
-            self.fcs.append(Linear(f"head.fc{i}", f_in, hc.hidden_units, rng))
+            self.fcs.append(Linear(f"head.fc{i}", f_in, hc.hidden_units))
             f_in = hc.hidden_units
-        self.out = Linear("head.out", f_in, len(LABEL_NAMES), rng)
+        self.out = Linear("head.out", f_in, len(LABEL_NAMES))
         self.dropout_rate = hc.dropout_rate
 
         names = [p.name for p in self.parameters()]
@@ -448,7 +451,9 @@ def build_model(backbone_config: Optional[BackboneConfig] = None,
     """Construct a model with seeded He-uniform weights.
 
     Defaults give the full-size profile; pass :func:`desk_backbone` for the
-    CPU-scale variant.  The same (configs, seed) triple always yields
-    bit-identical initial weights.
+    CPU-scale variant.  Weights are drawn in parameter order from one stream,
+    so the same (configs, seed) triple always yields bit-identical weights.
     """
-    return Model(backbone_config or BackboneConfig(), head_config or HeadConfig(), seed)
+    model = Model(backbone_config or BackboneConfig(), head_config or HeadConfig(), seed)
+    _he_uniform(model.parameters(), SplitMix64(seed).derive("init"))
+    return model

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -327,6 +330,9 @@ def _rewrite_header(src, dst, mutate):
     dst.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + raw[8 + hlen :])
 
 
+_DROP = object()
+
+
 def _set_entry(field, value):
     def mutate(header):
         header["entries"][0][field] = value
@@ -387,10 +393,135 @@ def test_entries_must_tile_the_payload_in_order(tmp_path):
     # payload's total length is the same in every case
     for offset in (0, start - 4, start + 4):
         _rewrite_header(good, bad, second_at(offset))
-        named = re.escape(f"entry {name!r} starts at byte {offset}")
+        named = re.escape(f"entry 1: offset is {offset}, this architecture saves {start}")
         for load in (load_checkpoint, read_header):
             with pytest.raises(CheckpointError, match=named):
                 load(bad)
+
+
+def _swap_two_names(header, payload):
+    first, second = header["entries"][1:3]  # a batch norm's gamma and beta: one shape
+    first["name"], second["name"] = second["name"], first["name"]
+    return header, payload
+
+
+def _drop_last(header, payload):
+    last = header["entries"].pop()
+    return header, payload[: last["offset"]]
+
+
+def _add_one(header, payload):
+    header["entries"].append({"name": "extra", "kind": "buffer", "shape": [1], "dtype": "f32",
+                              "offset": len(payload)})
+    return header, payload + bytes(4)
+
+
+def _set(index, field, value):
+    def mutate(header, payload):
+        if value is _DROP:
+            del header["entries"][index][field]
+        else:
+            header["entries"][index][field] = value
+        return header, payload
+    return mutate
+
+
+def _float_shape(header, payload):
+    entry = header["entries"][1]
+    entry["shape"] = [float(n) for n in entry["shape"]]
+    return header, payload
+
+
+# manifests whose payload framing still adds up, each refused by comparison
+# with the manifest save_checkpoint writes for the header's architecture
+BAD_MANIFESTS = {
+    "swapped": (_swap_two_names, "entry 1: name is "),
+    "dropped": (_drop_last, "entries, this architecture saves"),
+    "added": (_add_one, "entries, this architecture saves"),
+    "float_shape": (_float_shape, r"entry 1: shape is \[8\.0\]"),
+    "false_offset": (_set(0, "offset", False), "entry 0: offset is False"),
+    "float_offset": (_set(0, "offset", 0.0), r"entry 0: offset is 0\.0"),
+    "no_trainable": (_set(0, "trainable", _DROP), "entry 0: trainable is missing"),
+    "int_trainable": (_set(0, "trainable", 1), "entry 0: trainable is 1"),
+    "string_trainable": (_set(0, "trainable", "true"), "entry 0: trainable is 'true'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_manifest_must_equal_the_one_save_writes(tmp_path, case):
+    mutate, named = BAD_MANIFESTS[case]
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(build_model(desk_backbone(), HeadConfig(), seed=0), good)
+    raw = good.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header, payload = mutate(json.loads(raw[8 : 8 + hlen]), raw[8 + hlen :])
+    enc = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    bad.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + payload)
+    target = build_model(desk_backbone(), HeadConfig(), seed=1)
+    before = [p.data.copy() for p in target.parameters()]
+    for load in (load_checkpoint, read_header,
+                 lambda path: load_into(target, path, prefix="backbone.")):
+        with pytest.raises(CheckpointError, match=named):
+            load(bad)
+    assert all(np.array_equal(a, p.data) for a, p in zip(before, target.parameters()))
+
+
+# a header asking for the largest head the caps allow (8 layers of 4096
+# units, 470 MB of float32 weights) with a one-entry manifest
+CRAFTED_HEAD = {"format_version": 4, "seed": 0, "backbone": {},
+                "head": {"hidden_units": 4096, "hidden_layers": 8},
+                "entries": [{"name": "w", "kind": "param", "shape": [1], "dtype": "f32",
+                             "offset": 0, "trainable": True}]}
+
+_TIMED_LOAD = """import resource, sys, time
+from maskdetect.checkpoint import load_checkpoint
+from maskdetect.errors import CheckpointError
+start = time.perf_counter()
+try:
+    load_checkpoint(sys.argv[1])
+except CheckpointError as exc:
+    seconds = time.perf_counter() - start
+    print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, exc)
+"""
+
+
+def test_crafted_head_is_refused_without_touching_its_weights(tmp_path):
+    # the model is built with zero weights, whose pages nothing touches
+    # before the manifest is refused; measured in a child process so that
+    # max RSS is this load's own
+    path = tmp_path / "head.ckpt"
+    body = json.dumps(CRAFTED_HEAD).encode()
+    path.write_bytes(b"MPC1" + struct.pack("<I", len(body)) + body + bytes(4))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", _TIMED_LOAD, str(path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    seconds, max_rss_mb, message = out.stdout.split(" ", 2)
+    assert "entry 0: name is 'w'" in message, out.stdout + out.stderr
+    assert float(seconds) < 0.5 and float(max_rss_mb) < 150, out.stdout
+
+
+# SHA-256 over each parameter's, then each buffer's name and <f4 bytes, in
+# model order, of a seed-1 desk model with a 64x1 head after it adopts the
+# backbone of the seed-0 desk model whose buffers hold SplitMix64(5) draws
+ADOPTED_DESK_SHA256 = "ff07b73d0085d3293782d7df6cb04c99c6e47cfb509792524bbdb6b3231154fc"
+
+
+def test_load_into_under_a_prefix_moves_the_pinned_bytes(tmp_path):
+    donor = build_model(desk_backbone(), HeadConfig(), seed=0)
+    rng = SplitMix64(5)
+    for _, buf in donor.buffers():
+        buf[...] = rng.uniform(0.5, 1.5, shape=buf.shape)
+    path = tmp_path / "donor.ckpt"
+    save_checkpoint(donor, path)
+    target = build_model(desk_backbone(), HeadConfig(hidden_units=64, hidden_layers=1), seed=1)
+    load_into(target, path, prefix="backbone.")
+    digest = hashlib.sha256()
+    for name, arr in [(p.name, p.data) for p in target.parameters()] + target.buffers():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    assert digest.hexdigest() == ADOPTED_DESK_SHA256
 
 
 def test_bad_architecture_is_checkpoint_error(tmp_path):
@@ -466,7 +597,6 @@ def test_load_checkpoint_reads_file_once(tmp_path, monkeypatch):
 
 
 FUZZ_VALUES = [None, True, False, -1, 0, 1.5, float("nan"), "x", "", [], [1, "a"], {}, {"k": 1}]
-_DROP = object()
 
 
 def _json_paths(node, prefix=()):

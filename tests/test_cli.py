@@ -8,7 +8,10 @@ routing, and the files each command leaves behind.  Runs use a tiny
 import json
 import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +140,28 @@ def test_every_scalar_leaf_has_a_flag():
     # list-valued leaves stay config-file only
     assert "data.ratios" not in leaves
     assert "backbone.stem_channels" not in leaves
+
+
+def test_interrupt_exits_130_with_one_error_line(corpus, tiny_config, tmp_path):
+    # the console script's entry point, sent SIGINT (what Ctrl-C sends) past its first epoch
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
+            "--config", str(tiny_config), "--train.epochs_phase1", "1000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from maskdetect.cli import main; sys.exit(main())",
+         *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        for line in proc.stdout:
+            if line.startswith("epoch"):
+                break
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130, err
+    assert err.splitlines() == ["error: interrupted"]
 
 
 # -- scan / synth ---------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 import json
 import os
+import struct
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 import pytest
 
+from maskdetect.cascade import load_cascade_json, load_cascade_xml, save_cascade_json
+from maskdetect.checkpoint import load_checkpoint, save_checkpoint
 from maskdetect.cli import RunConfig, default_config, main
 from maskdetect.config import Config, encode, parse_text
 from maskdetect.data import save_ppm, synth_dataset
-from maskdetect.errors import ConfigError
-from maskdetect.nn import BackboneConfig
+from maskdetect.errors import CascadeFormatError, CheckpointError, ConfigError
+from maskdetect.nn import BackboneConfig, HeadConfig, build_model
 from maskdetect.rng import SplitMix64
 
 FIXTURE_XML = os.path.join(os.path.dirname(__file__), "fixtures", "face_cascade.xml")
@@ -281,6 +284,46 @@ def test_flag_model_size_past_its_bound_exits_two(inputs, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config validation failed" in err and "backbone: input_size must be in [8, 1024]" in err
     assert not (tmp_path / "r").exists()
+
+
+LONG_KEY = "bogus_key_" + "x" * 100_000
+
+
+def test_unknown_long_key_is_quoted_in_bounded_form(inputs, tmp_path, capsys):
+    # a run config file, a cascade JSON and a checkpoint header's backbone
+    # each name the key by its start, in an error of bounded length
+    run_config = tmp_path / "run.json"
+    run_config.write_text(json.dumps({"train": {LONG_KEY: 1}}))
+    code = main(["detect", "--image", str(inputs / "blank.ppm"), "--cascade", FIXTURE_XML,
+                 "--out", str(tmp_path / "b.json"), "--config", str(run_config)])
+    assert code == 2
+    messages = [capsys.readouterr().err]
+
+    cascade = tmp_path / "c.json"
+    save_cascade_json(load_cascade_xml(FIXTURE_XML), cascade)
+    doc = json.loads(cascade.read_text())
+    doc[LONG_KEY] = 1
+    cascade.write_text(json.dumps(doc))
+    with pytest.raises(CascadeFormatError) as info:
+        load_cascade_json(cascade)
+    messages.append(str(info.value))
+
+    ckpt = tmp_path / "m.ckpt"
+    model = build_model(BackboneConfig(input_size=32, width_mult=0.125), HeadConfig(), seed=0)
+    save_checkpoint(model, ckpt)
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    header["backbone"][LONG_KEY] = 1
+    enc = json.dumps(header).encode()
+    ckpt.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + raw[8 + hlen :])
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(ckpt)
+    messages.append(str(info.value))
+
+    for message in messages:
+        assert "unknown config key: " in message and LONG_KEY[:10] in message
+        assert len(message) < 500, len(message)
 
 
 FUZZ_VALUES = [None, True, False, -1, 0, 1.5, float("nan"), "x", "", [], [1, "a"], {}, {"k": 1}]

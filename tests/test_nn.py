@@ -12,6 +12,7 @@ from maskdetect.nn import (
     HeadConfig,
     InceptionBlock,
     Model,
+    _he_uniform,
     build_model,
     desk_backbone,
 )
@@ -50,7 +51,8 @@ def test_full_profile_dimensions():
 
 def test_inception_block_preserves_spatial_size():
     rng = SplitMix64(5)
-    blk = InceptionBlock("backbone.block1", 16, 0.25, True, rng)
+    blk = InceptionBlock("backbone.block1", 16, 0.25, True)
+    _he_uniform(blk.parameters(), rng)
     x = T.Tensor(SplitMix64(1).normal(shape=(1, 16, 19, 19)).astype(np.float32))
     y = blk.forward(x, "eval")
     assert y.shape == (1, blk.out_channels, 19, 19)
@@ -60,7 +62,8 @@ def _random_block(dtype, seed, in_ch=16):
     """A factorized desk-width block at ``dtype`` whose batch norms carry
     random affine parameters and running statistics."""
     rng = SplitMix64(seed)
-    blk = InceptionBlock("backbone.block1", in_ch, 0.25, True, rng)
+    blk = InceptionBlock("backbone.block1", in_ch, 0.25, True)
+    _he_uniform(blk.parameters(), rng)
     for unit in blk._units():
         c = unit.out_channels
         unit.conv.weight.data = unit.conv.weight.data.astype(dtype)
@@ -252,6 +255,19 @@ def test_init_respects_fan_in_bounds():
             assert (p.data == 0).all()
         elif p.name.endswith(".gamma"):
             assert (p.data == 1).all()
+
+
+def test_model_alone_holds_zero_weights_and_build_model_draws_them():
+    bare = Model(desk_backbone(), HeadConfig(), seed=13)
+    drawn = _desk_model(seed=13)
+    for p, q in zip(bare.parameters(), drawn.parameters()):
+        assert p.name == q.name
+        if p.name.endswith(".weight"):
+            assert not p.data.any() and q.data.any()
+        else:
+            assert np.array_equal(p.data, q.data)  # gamma 1, beta and bias 0
+    for (_, a), (_, b) in zip(bare.buffers(), drawn.buffers()):
+        assert np.array_equal(a, b)
 
 
 def test_parameter_names_unique_and_order_stable():
