@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import Config, read_json, write_json
+from .config import _REPR, Config, read_json, write_json
 from .errors import CascadeFormatError, ConfigError, InputError, ParameterError
 
 # bound on the pyramid: the default scale_factor 1.1 needs about 32 scales at 640x480
@@ -315,10 +315,12 @@ def eval_window(ii: IntegralImage, cascade: Cascade, origin, scale: float) -> Wi
     window's std (flat windows count as std 1) times its area before the
     stump comparison.  Evaluation stops at the first failing stage; an
     empty cascade accepts with score 0.  The score is the final evaluated
-    stage's sum minus that stage's threshold.
+    stage's sum minus that stage's threshold.  A cascade that breaks a rule
+    of ``Cascade.validate`` is refused, as ``detect`` refuses it.
     """
     if not 0 < scale < math.inf:
         raise ParameterError(f"scale must be positive and finite, got {scale}")
+    cascade.validate()
     x, y = origin
     win_w, win_h = _window_size(cascade, scale)
     if x < 0 or y < 0 or x + win_w > ii.width or y + win_h > ii.height:
@@ -625,7 +627,7 @@ def _xml_float(elem, path: str) -> float:
     try:
         return float(text)
     except ValueError as e:
-        raise CascadeFormatError(f"{path}: {text!r} is not a number") from e
+        raise CascadeFormatError(f"{path}: {_REPR.repr(text)} is not a number") from e
 
 
 # the JSON schema's field names that the XML schema spells differently
@@ -658,20 +660,21 @@ def load_cascade_xml(path) -> Cascade:
         # ValueError and LookupError: an encoding declaration expat cannot use
         raise CascadeFormatError(f"{path}: cannot parse XML: {e}") from e
     if root.tag != "opencv_storage":
-        raise CascadeFormatError(f"{path}: /: root element is {root.tag!r}, "
+        raise CascadeFormatError(f"{path}: /: root element is {_REPR.repr(root.tag)}, "
                                  "expected 'opencv_storage'")
     children = list(root)
     if len(children) != 1:
         raise CascadeFormatError(f"{path}: /opencv_storage: expected exactly one cascade "
                                  f"element, found {len(children)}")
     casc = children[0]
-    base = f"/opencv_storage/{casc.tag}"
+    base = f"/opencv_storage/{_REPR.repr(casc.tag)[1:-1]}"
 
     size_text = _xml_text(casc.find("size"), f"{base}/size")
     try:
         base_w, base_h = (int(v) for v in size_text.split())
     except ValueError as e:
-        raise CascadeFormatError(f"{base}/size: expected 'width height', got {size_text!r}") from e
+        raise CascadeFormatError(f"{base}/size: expected 'width height', "
+                                 f"got {_REPR.repr(size_text)}") from e
 
     stages_elem = casc.find("stages")
     if stages_elem is None:
@@ -713,12 +716,12 @@ def load_cascade_xml(path) -> Cascade:
                 fields = _xml_text(rect_elem, rpath).split()
                 if len(fields) != 5:
                     raise CascadeFormatError(
-                        f"{rpath}: expected 'x y w h weight', got {rect_elem.text!r}"
+                        f"{rpath}: expected 'x y w h weight', got {_REPR.repr(rect_elem.text)}"
                     )
                 try:
                     rects.append(HaarRect(*(int(v) for v in fields[:4]), float(fields[4])))
                 except ValueError as e:
-                    raise CascadeFormatError(f"{rpath}: bad rect values {fields!r}") from e
+                    raise CascadeFormatError(f"{rpath}: bad rect values {_REPR.repr(fields)}") from e
             weak.append(WeakClassifier(
                 HaarFeature(tuple(rects)),
                 _xml_float(node.find("threshold"), f"{npath}/threshold"),
@@ -741,6 +744,7 @@ class _CascadeFile(Config):
     """A cascade's JSON document, as the config codec decodes and encodes it."""
     base_window: tuple[int, int]
     stages: tuple[Stage, ...]
+    _name = "cascade"
 
 
 def _from_document(doc, path) -> Cascade:
@@ -751,8 +755,7 @@ def _from_document(doc, path) -> Cascade:
         cascade = Cascade(*file.base_window, file.stages)
         cascade.validate()
     except (ConfigError, CascadeFormatError) as e:
-        problems = str(e).removeprefix("config validation failed:\n  ")
-        raise CascadeFormatError(f"{path}: {problems}") from None
+        raise CascadeFormatError(f"{path}: {e}") from None
     return cascade
 
 

@@ -1,12 +1,13 @@
 """One codec for every config dataclass, driven by its fields and type hints.
 
 Supported hints: ``bool``, ``int``, ``float``, ``str``, fixed and variadic
-``tuple[...]``, nested dataclasses (in tuples too) and ``X | None``.  A
-``bool`` is not an ``int``; an ``int`` is accepted as a ``float`` but kept
-as an ``int``, so a decoded config re-encodes to the same JSON.  Unknown
+``tuple[...]``, ``dict[str, X]``, nested dataclasses (in tuples too) and
+``X | None``.  A ``bool`` is not an ``int``; an ``int`` is accepted as a
+``float`` but kept as an ``int``, so a decoded config re-encodes to the same JSON.  Unknown
 keys, missing required keys, wrong types and ``validate()`` errors are all
 collected into one :class:`ConfigError`, each named by its dotted path,
-e.g. ``stages[0].stage_threshold``.  ``validate()`` runs on every section
+e.g. ``stages[0].stage_threshold`` or ``splits['0/a.ppm']``, keys from the
+document quoted in bounded form.  ``validate()`` runs on every section
 whose fields are well typed, even when a section nested in it failed its
 own ``validate()``, so checks that span sections are reported together.
 
@@ -40,7 +41,11 @@ _REPR.maxlevel = 1  # a problem quotes a value's outer level, so its length has 
 
 
 class Config:
-    """Base for config dataclasses: ``to_dict``/``from_dict`` through the codec."""
+    """Base for config dataclasses: ``to_dict``/``from_dict`` through the codec.
+    A document that is not a run config sets ``_name``, which its problems use
+    where a run config's say ``config``, and lists them without a lead line."""
+
+    _name = "config"
 
     def to_dict(self) -> dict:
         return encode(self)
@@ -51,9 +56,10 @@ class Config:
         over nothing), or raise one :class:`ConfigError` listing every
         problem, starting with the ``problems`` the caller already found."""
         problems = list(problems)
-        config = _decode_fields(cls, data, "", problems, None)
+        config = _decode_fields(cls, data, "", problems, None, cls._name)
         if problems:
-            raise ConfigError("config validation failed:\n  " + "\n  ".join(problems))
+            lead = "config validation failed:\n  " if cls._name == "config" else ""
+            raise ConfigError(lead + "\n  ".join(problems))
         return config
 
 
@@ -63,6 +69,8 @@ def encode(value):
         return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (tuple, list)):
         return [encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: encode(v) for k, v in value.items()}
     return value
 
 
@@ -73,10 +81,10 @@ def _schema(cls) -> tuple:
                                         if f.default is MISSING and f.default_factory is MISSING]
 
 
-def _decode(hint, value, path: str, problems: list, default=None):
-    """Check ``value`` against ``hint``, appending any problems; a section
-    decodes over ``default``, the default value at its place.  Returns
-    ``_BAD`` when the value (or a part of it) is not of its hinted type."""
+def _decode(hint, value, path: str, problems: list, name: str, default=None):
+    """Check ``value`` against ``hint`` in the document ``name``, appending any
+    problems; a section decodes over ``default``, the default value at its place.
+    Returns ``_BAD`` when the value (or a part of it) is not of its hinted type."""
     if hint in _KIND_NAMES:  # first, as most values are scalars
         if hint is float:
             ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
@@ -93,13 +101,13 @@ def _decode(hint, value, path: str, problems: list, default=None):
                 return _BAD
         return value
     if is_dataclass(hint):
-        return _decode_fields(hint, value, path, problems, default)
+        return _decode_fields(hint, value, path, problems, default, name)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None:
             return None
         (inner,) = [a for a in args if a is not type(None)]
-        return _decode(inner, value, path, problems, default)
+        return _decode(inner, value, path, problems, name, default)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             problems.append(f"{path}: expected a list, got {_REPR.repr(value)}")
@@ -109,14 +117,21 @@ def _decode(hint, value, path: str, problems: list, default=None):
         elif len(value) != len(args):
             problems.append(f"{path}: expected {len(args)} items, got {len(value)}")
             return _BAD
-        items = tuple(_decode(h, v, f"{path}[{i}]", problems)
+        items = tuple(_decode(h, v, f"{path}[{i}]", problems, name)
                       for i, (h, v) in enumerate(zip(args, value)))
         return _BAD if any(v is _BAD for v in items) else items
+    if origin is dict:
+        if not isinstance(value, dict):
+            problems.append(f"{path}: expected an object, got {_REPR.repr(value)}")
+            return _BAD
+        items = {k: _decode(args[1], v, f"{path}[{_REPR.repr(k)}]", problems, name)
+                 for k, v in value.items()}
+        return _BAD if any(v is _BAD for v in items.values()) else items
 
 
-def _decode_fields(cls, data, path: str, problems: list, default):
+def _decode_fields(cls, data, path: str, problems: list, default, name: str):
     if not isinstance(data, dict):
-        problems.append(f"{path or 'config'}: expected an object, got {_REPR.repr(data)}")
+        problems.append(f"{path or name}: expected an object, got {_REPR.repr(data)}")
         return _BAD
     hints, required = _schema(cls)
     if default is None and not required:
@@ -125,13 +140,13 @@ def _decode_fields(cls, data, path: str, problems: list, default):
     kwargs = {}
     well_typed = True
     for key, value in data.items():
-        where = f"{prefix}{key}"
         if key in hints:
-            kwargs[key] = _decode(hints[key], value, where, problems, getattr(default, key, None))
+            kwargs[key] = _decode(hints[key], value, prefix + key, problems, name,
+                                  getattr(default, key, None))
             well_typed = well_typed and kwargs[key] is not _BAD
         else:
             # the key comes from the document, so it is quoted in bounded form
-            problems.append(f"unknown config key: {prefix}{_REPR.repr(key)[1:-1]}")
+            problems.append(f"unknown {name} key: {prefix}{_REPR.repr(key)[1:-1]}")
             well_typed = False
     missing = [key for key in required if key not in data] if default is None else []
     problems.extend(f"{prefix}{key}: missing required key" for key in missing)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import reprlib
+import re
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .config import Config, read_json, write_json
+from .config import _REPR, Config, read_json, write_json
 from .errors import ConfigError, InputError, ParameterError, PPMError, UsageError
 from .rng import SplitMix64
 from .tensor import Tensor
@@ -199,7 +199,7 @@ def check_split_ratios(ratios) -> tuple[float, float, float]:
         isinstance(r, numbers.Real) and not isinstance(r, bool) and 0 <= r <= sys.float_info.max
         for r in values
     ):  # a NaN fails the range test
-        raise ConfigError(f"ratios must be three non-negative real numbers, got {reprlib.repr(ratios)}")
+        raise ConfigError(f"ratios must be three non-negative real numbers, got {_REPR.repr(ratios)}")
     ratios = tuple(float(r) for r in values)
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
@@ -251,14 +251,26 @@ def split_dataset(
 
 
 @dataclass(frozen=True)
-class _SplitOrigin(Config):
-    """A split manifest's ``seed`` and ``ratios``, checked by the config codec."""
+class _SplitManifest(Config):
+    """A split manifest: the ``seed`` and ``ratios`` of a split and each
+    sample's split, keyed as :func:`_manifest_keys` says."""
 
     seed: int
     ratios: tuple[float, float, float]
+    splits: dict[str, str]
+    _name = "manifest"
 
     def validate(self) -> None:
         check_split_ratios(self.ratios)
+        first = {}  # normalised key -> the first key that names it
+        for key, split in self.splits.items():
+            if split not in SPLIT_NAMES:
+                raise ConfigError(f"splits[{_REPR.repr(key)}]: expected one of {SPLIT_NAMES}, "
+                                  f"got {_REPR.repr(split)}")
+            other = first.setdefault(os.path.normpath(key), key)
+            if self.splits[other] != split:
+                raise ConfigError(f"splits[{_REPR.repr(other)}] and splits[{_REPR.repr(key)}] name "
+                                  f"one sample but give it {self.splits[other]!r} and {split!r}")
 
 
 def _manifest_keys(index: DatasetIndex) -> list[str]:
@@ -280,58 +292,46 @@ def save_split_manifest(index: DatasetIndex, path: str) -> None:
     ``splits`` keyed as :func:`_manifest_keys` says."""
     if index.ratios is None:
         raise UsageError("cannot save a manifest for an unsplit index")
-    manifest = {
-        "seed": index.seed,
-        "ratios": list(index.ratios),
-        "splits": {key: s.split for key, s in zip(_manifest_keys(index), index.samples)},
-    }
-    write_json(path, manifest)
+    splits = dict(zip(_manifest_keys(index), (s.split for s in index.samples)))
+    write_json(path, _SplitManifest(index.seed, index.ratios, splits).to_dict())
 
 
-def load_split_manifest(path: str) -> dict:
+def load_split_manifest(path) -> _SplitManifest:
+    """The split manifest at ``path``, decoded by the config codec; any
+    problem raises one :class:`ConfigError` naming ``path``."""
     with open(path, "rb") as fh:
-        manifest = read_json(fh.read(), ConfigError, f"split manifest is not valid JSON: {path}")
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"split manifest must be a JSON object: {path}")
-    for key in ("seed", "ratios", "splits"):
-        if key not in manifest:
-            raise ConfigError(f"split manifest missing key '{key}': {path}")
-    if not isinstance(manifest["splits"], dict):
-        raise ConfigError(f"split manifest 'splits' must be an object: {path}")
+        document = read_json(fh.read(), ConfigError, f"split manifest is not valid JSON: {path}")
     try:
-        _SplitOrigin.from_dict({"seed": manifest["seed"], "ratios": manifest["ratios"]})
+        return _SplitManifest.from_dict(document)
     except ConfigError as exc:
         raise ConfigError(f"split manifest {path}: {exc}") from None
-    return manifest
 
 
-def apply_split_manifest(index: DatasetIndex, manifest) -> DatasetIndex:
-    """Re-apply a saved split to a freshly scanned index.
+def apply_split_manifest(index: DatasetIndex, path) -> DatasetIndex:
+    """Re-apply the split manifest at ``path`` to a freshly scanned index.
 
-    ``manifest`` may be a path or an already-loaded dict.  Every sample in
-    the index must be present in the manifest, under its key relative to
-    its root or, in an older manifest, under its full path.  Keys are
-    compared after ``os.path.normpath``.
+    Every sample in the index must be present in the manifest, under its
+    key relative to its root or, in an older manifest, under its full
+    path.  Keys are compared after ``os.path.normpath``.
     """
-    if isinstance(manifest, (str, os.PathLike)):
-        manifest = load_split_manifest(os.fspath(manifest))
-    splits = {os.path.normpath(path): split for path, split in manifest["splits"].items()}
-    out = _unsplit_copy(index, manifest["seed"], tuple(manifest["ratios"]))
+    manifest = load_split_manifest(path)
+    splits = {os.path.normpath(key): split for key, split in manifest.splits.items()}
+    out = _unsplit_copy(index, manifest.seed, manifest.ratios)
     for s, key in zip(out.samples, _manifest_keys(index)):
         if key not in splits:
             key = os.path.normpath(s.path)
         if key not in splits:
             raise InputError(f"sample not in split manifest: {s.path}")
-        assigned = splits[key]
-        if assigned not in SPLIT_NAMES:
-            raise ConfigError(f"manifest assigns invalid split '{assigned}' to {s.path}")
-        s.split = assigned
+        s.split = splits[key]
     return out
 
 
 # ---------------------------------------------------------------------------
 # PPM codec (binary P6, maxval 255)
 # ---------------------------------------------------------------------------
+
+
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")  # whitespace and # comments, then a token
 
 
 def _check_image(image, name="image") -> np.ndarray:
@@ -343,38 +343,19 @@ def _check_image(image, name="image") -> np.ndarray:
     return image
 
 
-def _next_token(buf: bytes, pos: int, path: str) -> tuple[bytes, int, int]:
-    """Next header token after ``pos``, skipping whitespace and # comments.
-
-    Returns (token, token_start_offset, offset_after_token).
-    """
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c in b" \t\r\n\x0b\x0c":
-            pos += 1
-        elif c == b"#":
-            while pos < n and buf[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PPMError(f"{path}: header ended early at byte {n}")
-    start = pos
-    while pos < n and buf[pos : pos + 1] not in b" \t\r\n\x0b\x0c":
-        pos += 1
-    return buf[start:pos], start, pos
-
-
 def _int_token(buf: bytes, pos: int, what: str, path: str) -> tuple[int, int, int]:
-    """Next header token as a decimal integer: (value, start, end) offsets."""
-    token, start, end = _next_token(buf, pos, path)
+    """The header token after ``pos``, past whitespace and # comments, as a
+    decimal integer: (value, start, end) offsets."""
+    match = _TOKEN.match(buf, pos)
+    token, start = match[1], match.start(1)
+    if not token:
+        raise PPMError(f"{path}: header ended early at byte {len(buf)}")
     if token.isdigit():
         try:
-            return int(token), start, end
+            return int(token), start, match.end()
         except ValueError:  # more digits than int() converts
             pass
-    raise PPMError(f"{path}: expected {what} at byte {start}, got {token!r}")
+    raise PPMError(f"{path}: expected {what} at byte {start}, got {_REPR.repr(token)}")
 
 
 def load_ppm(path: str) -> np.ndarray:

@@ -236,6 +236,18 @@ def test_eval_window_bounds_and_scale_validation():
         eval_window(ii, casc, (0, 0), 1e307)  # finite, but the window overflows to infinity
 
 
+def test_eval_window_refuses_a_cascade_that_breaks_a_rule():
+    feature = HaarFeature((HaarRect(-5, 0, 10, 24, -1.0), HaarRect(0, 0, 24, 12, 2.0)))
+    outside = Cascade(24, 24, (Stage((WeakClassifier(feature, 0.5, -1.0, 1.0),), 0.5),))
+    stump = _two_rect_cascade().stages[0].weak_classifiers[0]
+    nan = Cascade(24, 24, (Stage((WeakClassifier(stump.feature, math.nan, -1.0, 1.0),), 0.5),))
+    ii = integral_image(np.zeros((48, 48), dtype=np.uint8))
+    for casc, node in ((outside, r"feature\.rects\[0\]: rect \(-5,"),
+                       (nan, r"threshold: threshold is NaN")):
+        with pytest.raises(CascadeFormatError, match=r"^stages\[0\]\.weak_classifiers\[0\]\." + node):
+            eval_window(ii, casc, (0, 0), 1.0)
+
+
 def test_eval_window_rect_past_the_image_is_an_input_error():
     # below scale 1 a rect that starts at the window's far edge rounds one
     # pixel past it; at the image border that pixel is outside the image
@@ -971,6 +983,28 @@ def test_xml_unreadable_size_is_a_format_error(tmp_path, size):
         load_cascade_xml(_write_xml(tmp_path, text))
 
 
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("old,new,path", [
+    ("<size>24 24</size>", f"<size>{LONG}</size>", "band_face/size"),
+    ("<size>24 24</size>", f"<size>{LONG} 24</size>", "band_face/size"),
+    ("<threshold>0.8</threshold>", f"<threshold>{LONG}</threshold>",
+     r"band_face/stages/_\[0\]/trees/_\[0\]/_\[0\]/threshold"),
+    ("<_>0 0 24 12 2.</_>", f"<_>{LONG}</_>", r"feature/rects/_\[1\]"),
+    ("<_>0 0 24 12 2.</_>", f"<_>0 0 24 12 {LONG}</_>", r"feature/rects/_\[1\]"),
+    ("band_face", "t" * 100_000, "/opencv_storage/ttttt"),
+    ("opencv_storage", "t" * 100_000, "/: root element is 'ttttt"),
+], ids=["size", "size-field", "threshold", "rect", "rect-field", "cascade-tag", "root-tag"])
+def test_xml_errors_quote_file_content_in_bounded_form(tmp_path, old, new, path):
+    text = FIXTURE_XML.read_text().replace(old, new)
+    if old == "band_face":  # a rule break, so the long tag enters an element path
+        text = text.replace("<threshold>0.8</threshold>", "<threshold>nan</threshold>", 1)
+    with pytest.raises(CascadeFormatError, match=path) as info:
+        load_cascade_xml(_write_xml(tmp_path, text))
+    assert len(str(info.value)) < 500
+
+
 @pytest.mark.parametrize("encoding", ["bogus", "utf-32", "rot13", "punycode"])
 def test_xml_declared_encoding_it_cannot_read_is_a_format_error(tmp_path, encoding):
     text = FIXTURE_XML.read_text().replace('version="1.0"',
@@ -1068,7 +1102,7 @@ def test_json_schema_violations_report_pointers(tmp_path):
     p = tmp_path / "c.json"
 
     p.write_text("[]")
-    with pytest.raises(CascadeFormatError, match=f"{p}: config: expected an object"):
+    with pytest.raises(CascadeFormatError, match=f"{p}: cascade: expected an object"):
         load_cascade_json(p)
 
     p.write_text(json.dumps({"stages": []}))
@@ -1121,7 +1155,7 @@ def test_json_unknown_key_is_refused_by_its_dotted_path(tmp_path):
     doc = json.loads(p.read_text())
     doc["stages"][0]["weak_classifiers"][0]["feature"]["tilted"] = 0
     p.write_text(json.dumps(doc))
-    with pytest.raises(CascadeFormatError, match=rf"^{p}: unknown config key: "
+    with pytest.raises(CascadeFormatError, match=rf"^{p}: unknown cascade key: "
                        r"stages\[0\]\.weak_classifiers\[0\]\.feature\.tilted$"):
         load_cascade_json(p)
 

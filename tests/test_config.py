@@ -165,6 +165,37 @@ def test_sections_with_required_fields_decode_from_their_keys():
     assert "leaves: missing required key" in _problems(Tree, {"name": "t"})
 
 
+@dataclass(frozen=True)
+class Table(Config):
+    rows: dict[str, Inner]
+    counts: dict[str, int] = field(default_factory=dict)
+    _name = "table"
+
+
+def test_a_dict_decodes_each_value_named_by_its_quoted_key():
+    doc = {"rows": {"a": {"ratio": 1}, "b": {}}, "counts": {"x": 2}}
+    table = Table.from_dict(doc)
+    assert table == Table({"a": Inner(ratio=1), "b": Inner()}, {"x": 2})
+    assert table.to_dict() == {"rows": {"a": {"ratio": 1, "flag": False},
+                                        "b": {"ratio": 0.5, "flag": False}},
+                               "counts": {"x": 2}}
+    with pytest.raises(ConfigError) as info:
+        Table.from_dict({"rows": {"a": {"flag": 1}}, "counts": {"k" * 100_000: "2"}})
+    message = str(info.value)
+    assert "rows['a'].flag: expected a boolean" in message
+    assert "counts['kkkk" in message and "']: expected an integer, got '2'" in message
+    assert len(message) < 500
+
+
+def test_a_document_names_itself_in_its_problems():
+    for data, named in (([], "table: expected an object, got []"),
+                        ({"rows": {}, "extra": 1}, "unknown table key: extra"),
+                        ({"rows": 5}, "rows: expected an object, got 5")):
+        with pytest.raises(ConfigError) as info:
+            Table.from_dict(data)
+        assert str(info.value) == named
+
+
 def test_parse_text_follows_the_field_type():
     assert parse_text(int, "16") == 16
     assert parse_text(float, "1e-3") == 1e-3
@@ -321,8 +352,8 @@ def test_unknown_long_key_is_quoted_in_bounded_form(inputs, tmp_path, capsys):
         load_checkpoint(ckpt)
     messages.append(str(info.value))
 
-    for message in messages:
-        assert "unknown config key: " in message and LONG_KEY[:10] in message
+    for message, document in zip(messages, ("config", "cascade", "config")):
+        assert f"unknown {document} key: " in message and LONG_KEY[:10] in message
         assert len(message) < 500, len(message)
 
 

@@ -4,6 +4,7 @@ augmentation, batching, and the synthetic corpus generator."""
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -204,6 +205,20 @@ def test_ppm_overlong_number_is_a_ppm_error(tmp_path, header):
     path.write_bytes(header + bytes(3))
     with pytest.raises(PPMError, match="expected"):
         load_ppm(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P6\n" + b"9" * 4_000_000 + b"x 1\n255\n", "expected width at byte 3"),
+    (b"P6\n# " + b"c" * 4_000_000 + b"\n1 1\n", "header ended early"),
+], ids=["4mb-token", "4mb-comment"])
+def test_ppm_long_header_is_refused_quickly_in_bounded_form(tmp_path, header, message):
+    path = tmp_path / "h.ppm"
+    path.write_bytes(header)
+    started = time.perf_counter()
+    with pytest.raises(PPMError, match=message) as info:
+        load_ppm(path)
+    assert time.perf_counter() - started < 0.5
+    assert len(str(info.value)) < 500
 
 
 def test_save_ppm_rejects_bad_input(tmp_path):
@@ -724,8 +739,8 @@ def test_split_manifest_roundtrip(tmp_path):
     save_split_manifest(index, manifest_path)
 
     manifest = load_split_manifest(manifest_path)
-    assert manifest["seed"] == 42
-    assert tuple(manifest["ratios"]) == (0.70, 0.15, 0.15)
+    assert manifest.seed == 42
+    assert manifest.ratios == (0.70, 0.15, 0.15)
 
     rescanned = scan_dataset(tmp_path / "data")
     applied = apply_split_manifest(rescanned, manifest_path)
@@ -738,7 +753,7 @@ def test_split_manifest_does_not_depend_on_root_spelling(tmp_path, monkeypatch):
     index = split_dataset(scan_dataset("corpus"), seed=3)
     save_split_manifest(index, "split.json")
     manifest = load_split_manifest("split.json")
-    assert all(key.startswith(os.path.join("0", "")) for key in manifest["splits"])
+    assert all(key.startswith(os.path.join("0", "")) for key in manifest.splits)
     want = [s.split for s in index.samples]
     for root in (os.path.abspath("corpus"), "./corpus/"):
         assert [s.split for s in apply_split_manifest(scan_dataset(root), "split.json").samples] == want
@@ -754,7 +769,7 @@ def test_split_manifest_keeps_two_roots_apart(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     index = split_dataset(scan_dataset(["a", "b"]), seed=5)
     save_split_manifest(index, "split.json")
-    assert len(load_split_manifest("split.json")["splits"]) == len(index) == 36
+    assert len(load_split_manifest("split.json").splits) == len(index) == 36
     want = [s.split for s in index.samples]
     assert want[:18] != want[18:]
     rescanned = scan_dataset([os.path.abspath("a"), os.path.abspath("b")])
@@ -784,6 +799,61 @@ def test_split_manifest_errors(tmp_path):
     path.write_text('{"seed": 1, "ratios": [0.7, 0.15, 0.15]}')
     with pytest.raises(ConfigError):
         load_split_manifest(path)
+
+
+def _write_manifest(tmp_path, **changes):
+    """A manifest of ``fake_index([4, 4, 4])`` split with seed 0, with ``changes``."""
+    path = tmp_path / "m.json"
+    save_split_manifest(split_dataset(fake_index([4, 4, 4]), seed=0), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+    return path
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"k" * 100_000: 1}, "unknown manifest key: kkkk"),
+    ({"splits": {"x.ppm": "banana"}}, r"splits\['x.ppm'\]: expected one of .*, got 'banana'"),
+    ({"splits": {"x.ppm": "t" * 100_000}}, r"splits\['x.ppm'\]: expected one of"),
+    ({"splits": {"k" * 100_000: "banana"}}, r"splits\['kkkk.*'\]: expected one of"),
+    ({"splits": {"x.ppm": 3}}, r"splits\['x.ppm'\]: expected a string, got 3"),
+    ({"splits": []}, "splits: expected an object"),
+], ids=["unknown-key", "unknown-split", "long-split", "long-key", "int-split", "list"])
+def test_split_manifest_problems_are_named_in_bounded_form(tmp_path, changes, named):
+    path = _write_manifest(tmp_path, **changes)
+    with pytest.raises(ConfigError, match=named) as info:
+        load_split_manifest(path)
+    assert str(info.value).startswith(f"split manifest {path}: ")
+    assert len(str(info.value)) < 500
+
+
+def test_split_manifest_every_split_is_checked_not_only_scanned_ones(tmp_path):
+    index = split_dataset(fake_index([4, 4, 4]), seed=0)
+    path = _write_manifest(tmp_path)
+    splits = json.loads(path.read_text())["splits"]
+    path = _write_manifest(tmp_path, splits={**splits, "not/scanned.ppm": "banana"})
+    with pytest.raises(ConfigError, match="not/scanned.ppm"):
+        apply_split_manifest(index, path)
+
+
+def test_split_manifest_keys_that_name_one_sample_must_agree(tmp_path):
+    index = split_dataset(fake_index([4, 4, 4]), seed=0)
+    path = _write_manifest(tmp_path)
+    splits = json.loads(path.read_text())["splits"]
+    key, split = next(iter(splits.items()))
+    spelled = os.path.join(os.curdir, key)
+    other = "test" if split != "test" else "train"
+    path = _write_manifest(tmp_path, splits={**splits, spelled: other})
+    with pytest.raises(ConfigError, match="name one sample") as info:
+        apply_split_manifest(index, path)
+    assert repr(key) in str(info.value) and repr(spelled) in str(info.value)
+    # the same split under two spellings is the same assignment
+    path = _write_manifest(tmp_path, splits={**splits, spelled: split})
+    assert [s.split for s in apply_split_manifest(index, path).samples] == \
+        [s.split for s in index.samples]
+    long = os.path.join(*["."] * 50_000, key)
+    path = _write_manifest(tmp_path, splits={**splits, long: other})
+    with pytest.raises(ConfigError, match="name one sample") as info:
+        apply_split_manifest(index, path)
+    assert len(str(info.value)) < 500
 
 
 @pytest.mark.parametrize("content", [
