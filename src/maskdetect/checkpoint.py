@@ -119,8 +119,9 @@ def _read(path) -> Model:
     try:
         backbone = BackboneConfig.from_dict(header["backbone"])
         head = HeadConfig.from_dict(header["head"])
-    except ConfigError as e:
-        raise CheckpointError(f"{path}: bad architecture config: {e}") from e
+    except ConfigError as e:  # its problems, one per indented line, joined onto one
+        problems = str(e).removeprefix("config validation failed:\n  ").split("\n  ")
+        raise CheckpointError(f"{path}: bad architecture config: {'; '.join(problems)}") from e
     model = Model(backbone, head, seed=header["seed"])
     for p, entry in zip(model.parameters(), entries):
         if isinstance(entry, dict) and isinstance(entry.get("trainable"), bool):

@@ -1,22 +1,28 @@
 """End-to-end tests for the command-line interface.
 
 Every test drives ``main()`` in process and checks exit codes, stderr
-routing, and the files each command leaves behind.  Runs use a tiny
-32-pixel model so the whole module stays fast.
+routing, and the files each command leaves behind.  Every refusal is a row
+of ``REFUSALS``, which one test body holds to the contract the README's
+"Exit codes" states.  Runs use a tiny 32-pixel model so the whole module
+stays fast.
 """
 
+import argparse
 import json
 import os
+import re
 import shutil
 import signal
 import struct
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from maskdetect.checkpoint import load_checkpoint, save_checkpoint
+from maskdetect.checkpoint import load_checkpoint, read_header, save_checkpoint
 from maskdetect.cascade import DetectionBox, load_cascade_xml, save_cascade_json
 from maskdetect.cli import (
     CLASS_COLORS,
@@ -52,6 +58,7 @@ TINY_CONFIG = {
         "augment": None,
     },
 }
+NO_EPOCHS = ("--train.epochs_phase1", "0", "--train.epochs_phase2", "0")
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +103,14 @@ def blank_scene(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def four_per_class(tmp_path_factory):
+    """12 images: at the default ratios the val and test splits are empty."""
+    root = tmp_path_factory.mktemp("four")
+    synth_dataset(4, 32, seed=1, out_dir=root)
+    return root
+
+
 # -- parser plumbing ------------------------------------------------------------------
 
 
@@ -114,18 +129,6 @@ def test_parser_lists_the_config_leaves_once(monkeypatch):
     monkeypatch.setattr("maskdetect.cli.config_leaves", counted)
     build_parser()
     assert len(calls) == 1
-
-
-def test_missing_command_returns_two():
-    assert main([]) == 2
-
-
-def test_unknown_command_returns_two():
-    assert main(["frobnicate"]) == 2
-
-
-def test_unknown_flag_returns_two():
-    assert main(["train", "--data", "x", "--out", "y", "--no-such-flag", "1"]) == 2
 
 
 def test_every_scalar_leaf_has_a_flag():
@@ -178,13 +181,6 @@ def test_scan_writes_manifest(corpus, tmp_path, capsys):
     assert "scanned 24 samples" in capsys.readouterr().out
 
 
-def test_scan_missing_root_exits_two(tmp_path, capsys):
-    code = main(["scan", str(tmp_path / "nope"), "--out", str(tmp_path / "m.json")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "nope" in err
-
-
 def test_scan_empty_root_zero_counts(tmp_path):
     root = tmp_path / "empty"
     root.mkdir()
@@ -214,100 +210,6 @@ def test_synth_then_scan_roundtrip(tmp_path):
     manifest = tmp_path / "m.json"
     assert main(["scan", str(out), "--out", str(manifest)]) == 0
     assert json.loads(manifest.read_text())["total"] == 9
-
-
-def test_synth_past_its_caps_exits_two_before_any_output(tmp_path, capsys):
-    out = tmp_path / "corpus"
-    assert main(["synth", "--n", "1", "--size", "1000000", "--out", str(out)]) == 2
-    assert main(["synth", "--n", "1000000", "--size", "16", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "image_size must be" in err and "n_per_class must be" in err
-    assert not out.exists()
-
-
-# -- empty splits -----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def four_per_class(tmp_path_factory):
-    """12 images: at the default ratios the val and test splits are empty."""
-    root = tmp_path_factory.mktemp("four")
-    synth_dataset(4, 32, seed=1, out_dir=root)
-    return root
-
-
-def test_train_refuses_an_empty_test_split_before_training(four_per_class, tiny_config,
-                                                           tmp_path, capsys):
-    out = tmp_path / "run"
-    code = main(["train", "--data", str(four_per_class), "--out", str(out),
-                 "--config", str(tiny_config)])
-    assert code == 2
-    assert "'test' split has 0 of the 12 samples" in capsys.readouterr().err
-    assert not (out / "logs.csv").exists() and not (out / "final.ckpt").exists()
-
-
-def test_train_refuses_an_empty_val_split_unless_no_epoch_runs(four_per_class, tmp_path,
-                                                               capsys):
-    config = json.loads(json.dumps(TINY_CONFIG))
-    config["data"] = {"ratios": [0.75, 0.0, 0.25]}  # 3 train, 0 val, 1 test per class
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(config))
-    argv = ["train", "--data", str(four_per_class), "--config", str(path)]
-    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
-    assert "'val' split has 0 of the 12 samples" in capsys.readouterr().err
-    assert not (tmp_path / "a" / "logs.csv").exists()
-    assert main(argv + ["--out", str(tmp_path / "b"), "--train.epochs_phase1", "0",
-                        "--train.epochs_phase2", "0"]) == 0
-
-
-def test_evaluate_names_an_empty_split(four_per_class, train_run, tmp_path, capsys):
-    code = main(["evaluate", "--data", str(four_per_class),
-                 "--checkpoint", str(train_run / "best.ckpt"),
-                 "--out", str(tmp_path / "e"), "--split", "val"])
-    assert code == 2
-    assert "'val' split has 0 of the 12 samples" in capsys.readouterr().err
-
-
-def test_sweep_with_no_epochs_exits_two_before_any_output(corpus, tiny_config, tmp_path,
-                                                          capsys):
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--data", str(corpus), "--out", str(out),
-                 "--config", str(tiny_config),
-                 "--train.epochs_phase1", "0", "--train.epochs_phase2", "0"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "epochs_phase1" in err and "epochs_phase2" in err and "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, data, patch, extra, message", [
-    ("train", "four", {}, [], "'test' split has 0"),
-    ("train", "four", {"data": {"ratios": [0.75, 0.0, 0.25]}}, [], "'val' split has 0"),
-    ("train", "corpus", {}, ["--init-backbone", "missing.ckpt"], "cannot read checkpoint"),
-    ("train", "corpus", {}, ["--init-backbone", "wide.ckpt"], "has shape"),
-    ("sweep", "four", {}, [], "'val' split has 0"),
-    ("sweep", "corpus", {}, ["--init-backbone", "wide.ckpt"], "has shape"),
-    ("evaluate", "four", {}, ["--checkpoint", "best.ckpt", "--split", "val"], "'val' split has 0"),
-    ("evaluate", "corpus", {}, ["--checkpoint", "missing.ckpt"], "cannot read checkpoint"),
-], ids=["train-test-split", "train-val-split", "train-missing-backbone",
-        "train-mismatched-backbone", "sweep-val-split", "sweep-mismatched-backbone",
-        "evaluate-val-split", "evaluate-missing-checkpoint"])
-def test_a_refused_run_creates_no_out_dir(command, data, patch, extra, message, corpus,
-                                          four_per_class, train_run, tmp_path, capsys):
-    config = json.loads(json.dumps(TINY_CONFIG))
-    config.update(patch)
-    (tmp_path / "c.json").write_text(json.dumps(config))
-    wide = BackboneConfig.from_dict(dict(TINY_CONFIG["backbone"], width_mult=0.5))
-    save_checkpoint(build_model(wide, HeadConfig(), seed=0), tmp_path / "wide.ckpt")
-    files = {"missing.ckpt": tmp_path / "missing.ckpt", "wide.ckpt": tmp_path / "wide.ckpt",
-             "best.ckpt": train_run / "best.ckpt"}
-    out = tmp_path / "out"
-    code = main([command, "--data", str(four_per_class if data == "four" else corpus),
-                 "--out", str(out), "--config", str(tmp_path / "c.json")]
-                + [str(files.get(arg, arg)) for arg in extra])
-    assert code in (1, 2)
-    assert message in capsys.readouterr().err
-    assert not out.exists()
 
 
 # -- config merge and overrides -------------------------------------------------------
@@ -347,51 +249,6 @@ def test_flag_into_a_section_the_file_leaves_out_takes_effect(corpus, tmp_path):
     assert echo["train"]["augment"]["zoom_range"] == [0.9, 1.1]  # untouched default
     assert echo["train"]["batch_size"] == 8                        # from the file
     assert json.loads((out / "split.json").read_text())["seed"] == 5
-
-
-def test_unknown_config_keys_all_listed(corpus, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"train": {"epochz": 1}, "bogus": {"x": 2}}))
-    code = main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
-                 "--config", str(bad)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "train.epochz" in err and "bogus" in err
-
-
-def test_bad_flag_value_exits_two(corpus, tmp_path, capsys):
-    code = main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
-                 "--train.batch_size", "not_a_number"])
-    assert code == 2
-    assert "train.batch_size" in capsys.readouterr().err
-
-
-def test_invalid_config_json_exits_two(corpus, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    code = main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
-                 "--config", str(bad)])
-    assert code == 2
-    assert "invalid JSON" in capsys.readouterr().err
-
-
-def test_config_not_utf8_exits_two(corpus, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe{}")
-    code = main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
-                 "--config", str(bad)])
-    assert code == 2
-    assert "invalid JSON" in capsys.readouterr().err
-
-
-def test_flag_into_disabled_section_exits_two(corpus, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"train": {"augment": None}}))
-    code = main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
-                 "--config", str(cfg),
-                 "--train.augment.rotation_max_deg", "5"])
-    assert code == 2
-    assert "disabled" in capsys.readouterr().err
 
 
 # -- train ----------------------------------------------------------------------------
@@ -477,6 +334,16 @@ def test_train_non_finite_loss_exits_one(corpus, tiny_config, tmp_path, capsys):
     assert not (tmp_path / "r" / "final.ckpt").exists()
 
 
+def test_train_refuses_an_empty_val_split_unless_no_epoch_runs(four_per_class, tmp_path):
+    # the refusal is the row train-val-split-empty; with no epoch to run, training needs no val
+    config = json.loads(json.dumps(TINY_CONFIG))
+    config["data"] = {"ratios": [0.75, 0.0, 0.25]}  # 3 train, 0 val, 1 test per class
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--data", str(four_per_class), "--config", str(path),
+                 "--out", str(tmp_path / "b"), *NO_EPOCHS]) == 0
+
+
 def test_train_reports_the_split_warnings(tmp_path, tiny_config, capsys):
     root = tmp_path / "two-classes"
     synth_dataset(8, 32, seed=1, out_dir=root)
@@ -500,12 +367,6 @@ def test_train_init_backbone(corpus, tiny_config, train_run, tmp_path):
     for name, param in adopted.named_parameters().items():
         if name.startswith("backbone."):
             assert np.array_equal(param.data, donor_params[name].data), name
-
-
-def test_train_missing_data_dir_exits_two(tiny_config, tmp_path):
-    code = main(["train", "--data", str(tmp_path / "nope"),
-                 "--out", str(tmp_path / "r"), "--config", str(tiny_config)])
-    assert code == 2
 
 
 # -- evaluate -------------------------------------------------------------------------
@@ -540,66 +401,6 @@ def test_evaluate_split_manifest_ignores_data_root_spelling(corpus, tiny_config,
     evaluated = json.loads((out / "metrics.json").read_text())
     trained = json.loads((run / "metrics.json").read_text())
     assert evaluated["accuracy"] == trained["accuracy"]
-
-
-CRAFTED_JSON = {"deep-array": "[" * 100_000 + "]" * 100_000, "long-integer": "1" * 5000}
-
-
-@pytest.mark.parametrize("inner", sorted(CRAFTED_JSON))
-@pytest.mark.parametrize("kind, want_code, message", [
-    ("config", 2, "invalid JSON"),
-    ("manifest", 2, "split manifest is not valid JSON"),
-    ("checkpoint", 1, "header is not valid JSON"),
-], ids=["config", "manifest", "checkpoint"])
-def test_crafted_json_files_exit_with_their_code(corpus, tiny_config, train_run, tmp_path,
-                                                 capsys, kind, want_code, message, inner):
-    bad = tmp_path / "bad"
-    files = {"config": str(tiny_config), "manifest": str(train_run / "split.json"),
-             "checkpoint": str(train_run / "best.ckpt")}
-    if kind == "checkpoint":
-        raw = (train_run / "best.ckpt").read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = raw[8:8 + hlen].replace(b'"seed":3', b'"seed":' + CRAFTED_JSON[inner].encode())
-        bad.write_bytes(raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + hlen:])
-    else:
-        bad.write_text('{"seed": ' + CRAFTED_JSON[inner] + "}")
-    files[kind] = str(bad)
-    code = main(["evaluate", "--data", str(corpus), "--checkpoint", files["checkpoint"],
-                 "--out", str(tmp_path / "e"), "--split-manifest", files["manifest"],
-                 "--config", files["config"]])
-    assert code == want_code
-    assert message in capsys.readouterr().err
-
-
-def test_evaluate_unknown_split_exits_two(corpus, train_run, tmp_path, capsys):
-    code = main(["evaluate", "--data", str(corpus),
-                 "--checkpoint", str(train_run / "best.ckpt"),
-                 "--out", str(tmp_path / "e"), "--split", "holdout"])
-    assert code == 2
-    assert "holdout" in capsys.readouterr().err
-
-
-def test_evaluate_bad_architecture_checkpoint_exits_one(corpus, train_run, tmp_path, capsys):
-    raw = (train_run / "best.ckpt").read_bytes()
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    for key, value, named in (("num_blocks", 0, "num_blocks"),
-                              ("stem_channels", [8, 0, 16], "stem_channels")):
-        header = json.loads(raw[8:8 + hlen])
-        header["backbone"][key] = value
-        enc = json.dumps(header).encode()
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw[:4] + struct.pack("<I", len(enc)) + enc + raw[8 + hlen:])
-        code = main(["evaluate", "--data", str(corpus), "--checkpoint", str(bad),
-                     "--out", str(tmp_path / "e")])
-        assert code == 1
-        assert named in capsys.readouterr().err
-
-
-def test_evaluate_missing_checkpoint_fails(corpus, tmp_path):
-    code = main(["evaluate", "--data", str(corpus),
-                 "--checkpoint", str(tmp_path / "nope.ckpt"),
-                 "--out", str(tmp_path / "e")])
-    assert code in (1, 2)
 
 
 # -- sweep ----------------------------------------------------------------------------
@@ -682,7 +483,8 @@ def test_detect_xml_and_json_cascades_agree(scene, tmp_path):
                  "--out", str(out_a)]) == 0
     assert main(["detect", "--image", str(scene), "--cascade", str(json_cascade),
                  "--out", str(out_b)]) == 0
-    assert json.loads(out_a.read_text())["boxes"] == json.loads(out_b.read_text())["boxes"]
+    boxes = json.loads(out_a.read_text())["boxes"]
+    assert boxes and boxes == json.loads(out_b.read_text())["boxes"]
 
 
 def test_detect_no_faces_is_success(blank_scene, tmp_path):
@@ -690,15 +492,6 @@ def test_detect_no_faces_is_success(blank_scene, tmp_path):
     assert main(["detect", "--image", str(blank_scene), "--cascade", FIXTURE_XML,
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["boxes"] == []
-
-
-def test_detect_malformed_cascade_reports_element_path(scene, tmp_path, capsys):
-    bad = tmp_path / "bad.xml"
-    bad.write_text("<opencv_storage><cascade></cascade></opencv_storage>")
-    code = main(["detect", "--image", str(scene), "--cascade", str(bad),
-                 "--out", str(tmp_path / "o.json")])
-    assert code == 1
-    assert "/opencv_storage/cascade" in capsys.readouterr().err
 
 
 def test_detect_override_params(scene, tmp_path):
@@ -709,19 +502,6 @@ def test_detect_override_params(scene, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["params"]["min_neighbors"] == 1
     assert doc["params"]["step"] == 3
-
-
-
-def test_detect_scale_factor_near_one_exits_two(tmp_path, capsys):
-    # the pyramid would need ~200k scales on this 24x24 image
-    image = tmp_path / "small.ppm"
-    save_ppm(np.full((24, 24, 3), 90, np.uint8), image)
-    code = main(["detect", "--image", str(image), "--cascade", FIXTURE_XML,
-                 "--out", str(tmp_path / "boxes.json"), "--detect.scale_factor", "1.0000001"])
-    assert code == 2
-    assert "scale_factor" in capsys.readouterr().err
-    assert not (tmp_path / "boxes.json").exists()
-
 
 def test_detect_scale_factor_past_the_float_range_ends_the_pyramid(tmp_path, capsys):
     # at 1e308 the second scale's window overflows to infinity; it fits no
@@ -798,26 +578,26 @@ def test_annotate_no_faces_copies_image(blank_scene, train_run, tmp_path):
     assert np.array_equal(load_ppm(out), load_ppm(blank_scene))
 
 
-@pytest.mark.parametrize("out, json_out", [
-    ("faces.json", None),           # the default JSON path is --out with .json
-    ("a.ppm", "a.ppm"),
-    ("./a.ppm", "a.ppm"),           # compared as resolved paths
-    ("sub/../a.ppm", "./a.ppm"),
-    ("link/a.ppm", "sub/a.ppm"),    # the same file through a symlink
-])
-def test_annotate_same_path_for_both_outputs_exits_two(tmp_path, monkeypatch, capsys,
-                                                      out, json_out):
-    # the image, cascade and checkpoint do not exist: the refusal comes
-    # before any file is read, and nothing is written
-    monkeypatch.chdir(tmp_path)
-    os.mkdir("sub")
-    os.symlink("sub", "link")
-    argv = ["annotate", "--image", "none.ppm", "--cascade", "none.xml",
-            "--checkpoint", "none.ckpt", "--out", out]
-    code = main(argv + (["--json-out", json_out] if json_out else []))
-    assert code == 2
-    assert "the --json-out file would overwrite the --out image" in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["link", "sub"] and not os.listdir("sub")
+def test_an_empty_backbone_section_trains_the_desk_backbone_that_annotate_reads(
+        corpus, scene, tmp_path):
+    # a zero-epoch train whose config gives the backbone as {} runs the default
+    # (desk, 75 px) backbone, echoes it without branch widths and writes a
+    # format-4 checkpoint; annotate run twice on it writes the same JSON bytes
+    config = tmp_path / "empty-backbone.json"
+    config.write_text('{"backbone": {}}')
+    run = tmp_path / "r"
+    assert main(["train", "--data", str(corpus), "--out", str(run), "--config", str(config),
+                 *NO_EPOCHS]) == 0
+    echo = json.loads((run / "config.json").read_text())
+    assert echo["backbone"]["input_size"] == 75, echo["backbone"]
+    assert "widths" not in echo["backbone"], echo["backbone"]
+    assert read_header(run / "final.ckpt")["format_version"] == 4
+    annotate = ["annotate", "--image", str(scene), "--cascade", FIXTURE_XML,
+                "--checkpoint", str(run / "final.ckpt"), "--detect.min_neighbors", "0"]
+    for name in ("annotated", "again"):
+        assert main(annotate + ["--out", str(tmp_path / f"{name}.ppm")]) == 0
+    assert (tmp_path / "annotated.json").read_bytes() == (tmp_path / "again.json").read_bytes()
+    assert json.loads((tmp_path / "annotated.json").read_text())["faces"], "no face classified"
 
 
 # -- drawing and classification helpers -----------------------------------------------
@@ -878,3 +658,296 @@ def test_classify_crop_gives_each_box_of_a_batch_its_own_bits(train_run):
     assert classify_crop(model, image, boxes) == [
         label for box in boxes for label in classify_crop(model, image, [box])]
     assert classify_crop(model, image, []) == []
+
+
+# -- the refusal contract ---------------------------------------------------------------
+#
+# Every refusal ends one way: main() returns the code the README's "Exit codes"
+# gives, stderr is one "error: " line with no traceback, and no --out or
+# --json-out path exists.  Two forms take more lines: argparse prints its usage
+# before "maskdetect[ COMMAND]: error: ...", and a run config's problems follow
+# "error: config validation failed:" one indented line each.  Each row runs in
+# its own working directory, which must hold the same entries afterwards.
+
+
+def refusal(command, args, code, *fragments, absent=()):
+    """A row: ``args`` builds the argv after ``command`` (None: the top-level
+    parser) from an :class:`Inputs`; each of ``fragments`` must appear in
+    stderr, and none of ``absent``."""
+    return SimpleNamespace(command=command, args=args, code=code, fragments=fragments,
+                           absent=absent)
+
+
+def _ckpt(header, payload=bytes(4)) -> bytes:
+    """A checkpoint file around ``header`` (bytes, or a JSON value)."""
+    body = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return b"MPC1" + struct.pack("<I", len(body)) + body + payload
+
+
+class Inputs:
+    """What a row's argv is built from: the module fixtures, and files written
+    into the working directory.  An option that ``extra`` gives again
+    overrides the default one, since argparse keeps the last."""
+
+    def __init__(self, corpus, four_per_class, tiny_config, train_run, scene):
+        self.corpus, self.four, self.config = str(corpus), str(four_per_class), str(tiny_config)
+        self.ckpt, self.manifest = str(train_run / "best.ckpt"), train_run / "split.json"
+        self.scene = str(scene)
+
+    @staticmethod
+    def file(name, data=b"") -> str:
+        """``name`` holding ``data`` (bytes, text or a JSON value); a name
+        ending in "/" is made an empty directory."""
+        if name.endswith("/"):
+            os.mkdir(name)
+        else:
+            text = data if isinstance(data, (bytes, str)) else json.dumps(data)
+            Path(name).write_bytes(text.encode() if isinstance(text, str) else text)
+        return name.rstrip("/")
+
+    def broken(self, case, name, wrong):
+        """``name`` missing, as a directory, empty, or holding ``wrong``."""
+        if case == "missing":
+            return name
+        return self.file(name + "/" if case == "directory" else name,
+                         wrong if case == "wrong-type" else b"")
+
+    def train(self, *extra):
+        return ["--data", self.corpus, "--out", "out", "--config", self.config, *extra]
+
+    sweep = train
+
+    def evaluate(self, *extra):
+        return ["--data", self.corpus, "--checkpoint", self.ckpt, "--out", "out", *extra]
+
+    def detect(self, *extra):
+        return ["--image", self.scene, "--cascade", FIXTURE_XML, "--out", "out", *extra]
+
+    def best(self, old, new) -> str:
+        """best.ckpt with ``old`` in its header replaced by ``new``."""
+        raw = Path(self.ckpt).read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        return self.file("bad.ckpt", _ckpt(raw[8:8 + hlen].replace(old, new), raw[8 + hlen:]))
+
+    def crafted(self, kind, text):
+        """evaluate reading a ``kind`` of JSON file whose seed is ``text``."""
+        if kind == "checkpoint":
+            return self.evaluate("--checkpoint",
+                                 self.best(b'"seed":3', b'"seed":' + text.encode()))
+        flag = "--config" if kind == "config" else "--split-manifest"
+        return self.evaluate(flag, self.file("c.json", '{"seed": ' + text + "}"))
+
+    @staticmethod
+    def wide() -> str:
+        """A checkpoint whose backbone is twice as wide as the tiny one."""
+        wide = BackboneConfig.from_dict(dict(TINY_CONFIG["backbone"], width_mult=0.5))
+        save_checkpoint(build_model(wide, HeadConfig(), seed=0), "wide.ckpt")
+        return "wide.ckpt"
+
+    def infinite_threshold(self) -> str:
+        """The fixture cascade as JSON, its first stage threshold Infinity."""
+        save_cascade_json(load_cascade_xml(FIXTURE_XML), "inf.json")
+        text = Path("inf.json").read_text()
+        return self.file("inf.json", re.sub(r'("stage_threshold": )[^,]*', r"\1Infinity", text,
+                                            count=1))
+
+    @staticmethod
+    def same_file(out, json_out):
+        """annotate onto one file twice, beside sub/ and a symlink link to it;
+        no input exists, so the refusal comes before any file is read."""
+        os.mkdir("sub")
+        os.symlink("sub", "link")
+        return (["--image", "none.ppm", "--cascade", "none.xml", "--checkpoint", "none.ckpt",
+                 "--out", out] + (["--json-out", json_out] if json_out else []))
+
+
+HUGE = "1" + "0" * 400  # an integer past the float range
+CRAFTED_JSON = {"deep-array": "[" * 100_000 + "]" * 100_000, "long-integer": "1" * 5000}
+BAD_CONFIGS = [
+    ({"train": {"batch_size": "16"}}, "train.batch_size"),
+    ({"train": {"augment": {"zoom_range": 5}}}, "train.augment.zoom_range"),
+    ({"backbone": {"stem_channels": 5}}, "backbone.stem_channels"),
+    ({"train": {"augment": {"rotation_max_deg": "a"}}}, "train.augment.rotation_max_deg"),
+    ({"head": {"hidden_units": None}}, "head.hidden_units"),
+    ({"data": {"ratios": "abc"}}, "data.ratios"),
+    ({"data": {"split_seed": "x"}}, "data.split_seed"),
+    ({"train": {"seed": 1.5}}, "train.seed"),
+    ({"detect": {"step": "2"}}, "detect.step"),
+    ({"train": {"epochs_phase1": True}}, "train.epochs_phase1"),
+]
+# per file kind: the command and flag that read it, a file name, content of the
+# wrong JSON type, then (code, fragment) for the file missing, a directory,
+# empty and of the wrong type; for --data a directory is an empty one
+BROKEN_FILES = [
+    ("config", "detect", "--config", "c.json", [1], (2, "cannot read config file"),
+     (2, "cannot read config file"), (2, "invalid JSON"), (2, "top level must be a JSON object")),
+    ("manifest", "evaluate", "--split-manifest", "m.json", [1], (1, "No such file or directory"),
+     (1, "Is a directory"), (2, "split manifest is not valid JSON"),
+     (2, "manifest: expected an object")),
+    *[(kind, command, flag, "c.ckpt", _ckpt([1]), (1, "cannot read checkpoint"),
+       (1, "cannot read checkpoint"), (1, "bad magic bytes"), (1, "header must be a JSON object"))
+      for kind, command, flag in (("checkpoint", "evaluate", "--checkpoint"),
+                                  ("init-backbone", "train", "--init-backbone"))],
+    ("xml-cascade", "detect", "--cascade", "c.xml", None, (1, "cannot parse XML"),
+     (1, "Is a directory"), (1, "cannot parse XML"), None),
+    ("json-cascade", "detect", "--cascade", "c.json", [1], (1, "cannot read"),
+     (1, "Is a directory"), (1, "not valid JSON"), (1, "cascade: expected an object")),
+    ("ppm", "detect", "--image", "i.ppm", None, (1, "No such file or directory"),
+     (1, "Is a directory"), (1, "expected magic 'P6' at byte 0"), None),
+    ("data", "train", "--data", "d", None, (2, "dataset root is not a directory"),
+     (2, "no samples found"), (2, "dataset root is not a directory"), None),
+]
+# checkpoint headers asking for a 9-unit stem, and for the largest head
+STEM9 = {"format_version": 4, "seed": 0, "head": {},
+         "backbone": {"stem_channels": [1024] * 9, "stem_strides": [1] * 9},
+         "entries": [{"name": "w", "kind": "param", "shape": [1], "dtype": "f32", "offset": 0}]}
+HEAD_4096X8 = {**STEM9, "backbone": {}, "head": {"hidden_units": 4096, "hidden_layers": 8}}
+VAL_EMPTY = "'val' split has 0 of the 12 samples"
+
+REFUSALS = {
+    # the parsers
+    "no-command": refusal(None, lambda f: [], 2, "the following arguments are required: COMMAND"),
+    "unknown-command": refusal(None, lambda f: ["frobnicate"], 2, "invalid choice: 'frobnicate'"),
+    "train-unknown-flag": refusal("train", lambda f: [
+        "--data", "x", "--out", "y", "--no-such-flag", "1"], 2,
+        "unrecognized arguments: --no-such-flag 1"),
+    "train-width-flag": refusal("train", lambda f: f.train(
+        *NO_EPOCHS, "--backbone.widths.b1x1", "8"), 2,
+        "unrecognized arguments: --backbone.widths.b1x1 8"),
+    # scan, synth and the size of a run
+    "scan-missing-root": refusal("scan", lambda f: ["nope", "--out", "out"], 2, "nope"),
+    "synth-size-past-its-cap": refusal("synth", lambda f: [
+        "--n", "1", "--size", "1000000", "--out", "out"], 2, "image_size must be"),
+    "synth-n-past-its-cap": refusal("synth", lambda f: [
+        "--n", "1000000", "--size", "16", "--out", "out"], 2, "n_per_class must be"),
+    "train-test-split-empty": refusal("train", lambda f: f.train("--data", f.four), 2,
+                                      "'test' split has 0 of the 12 samples"),
+    "train-val-split-empty": refusal("train", lambda f: f.train("--data", f.four, "--config", (
+        f.file("c.json", {**TINY_CONFIG, "data": {"ratios": [0.75, 0.0, 0.25]}}))), 2, VAL_EMPTY),
+    "sweep-val-split-empty": refusal("sweep", lambda f: f.sweep("--data", f.four), 2, VAL_EMPTY),
+    "evaluate-val-split-empty": refusal("evaluate", lambda f: f.evaluate(
+        "--data", f.four, "--split", "val"), 2, VAL_EMPTY),
+    "evaluate-unknown-split": refusal("evaluate", lambda f: f.evaluate("--split", "holdout"), 2,
+                                      "holdout"),
+    "sweep-no-epochs": refusal("sweep", lambda f: f.sweep(*NO_EPOCHS), 2, "epochs_phase1",
+                               "epochs_phase2"),
+    # each file kind missing, a directory, empty and of the wrong JSON type
+    **{f"{command}-{kind}-{case}": refusal(
+        command, lambda f, command=command, flag=flag, case=case, name=name, wrong=wrong:
+        getattr(f, command)(flag, f.broken(case, name, wrong)), *want)
+       for kind, command, flag, name, wrong, *wants in BROKEN_FILES
+       for case, want in zip(("missing", "directory", "empty", "wrong-type"), wants) if want},
+    # the run config: its problems, and the flags that lie over it
+    "train-config-invalid-json": refusal("train", lambda f: f.train("--config", f.file(
+        "c.json", "{nope")), 2, "invalid JSON"),
+    "train-config-not-utf8": refusal("train", lambda f: f.train("--config", f.file(
+        "c.json", b"\xff\xfe{}")), 2, "invalid JSON"),
+    "train-config-unknown-keys": refusal("train", lambda f: f.train("--config", f.file(
+        "c.json", {"train": {"epochz": 1}, "bogus": {"x": 2}})), 2, "train.epochz", "bogus"),
+    "detect-config-unknown-key-and-wrong-type": refusal("detect", lambda f: f.detect(
+        "--config", f.file("c.json", {"train": {"epochz": 1}, "detect": {"step": "2"}}),
+        "--detect.min_size", "big"), 2, "unknown config key: train.epochz",
+        "detect.step: expected an integer", "--detect.min_size: expected an integer, got 'big'"),
+    "train-config-unfreeze-past-the-blocks": refusal("train", lambda f: f.train("--config", f.file(
+        "c.json", {"backbone": {"num_blocks": 2, "factorized_blocks": [2]},
+                   "train": {"unfreeze_last_k": 9}})), 2,
+        "train.unfreeze_last_k=9 exceeds backbone.num_blocks=2"),
+    "train-config-ratios-and-unfreeze": refusal("train", lambda f: f.train("--config", f.file(
+        "c.json", {"data": {"ratios": [0.5, 0.5, 0.5]}, "train": {"unfreeze_last_k": 9}})), 2,
+        "data: ratios must sum to 1", "train.unfreeze_last_k=9 exceeds backbone.num_blocks=4"),
+    "train-config-number-past-the-float-range": refusal("train", lambda f: f.train(
+        "--config", f.file("c.json", '{"train": {"lr_phase1": ' + HUGE + "}}")), 2,
+        "train.lr_phase1: number out of range", absent=("0" * 50,)),
+    "detect-flag-number-past-the-float-range": refusal("detect", lambda f: f.detect(
+        "--detect.min_size", HUGE), 2, "detect.min_size: number out of range", absent=("0" * 50,)),
+    "train-flag-model-size-past-its-bound": refusal("train", lambda f: f.train(
+        "--backbone.input_size", "1" + "0" * 30), 2, "config validation failed",
+        "backbone: input_size must be in [8, 1024]"),
+    "train-flag-value-not-a-number": refusal("train", lambda f: f.train(
+        "--train.batch_size", "not_a_number"), 2, "train.batch_size"),
+    "train-flag-into-a-disabled-section": refusal("train", lambda f: f.train("--config", f.file(
+        "c.json", {"train": {"augment": None}}), "--train.augment.rotation_max_deg", "5"), 2,
+        "disabled"),
+    **{f"{command}-config-{named}": refusal(command, lambda f, command=command, config=config:
+        getattr(f, command)("--config", f.file("c.json", config)), 2, "config validation failed",
+        named)
+       for command in ("train", "detect") for config, named in BAD_CONFIGS},
+    # JSON past the decoder's limits, and what a reader refuses in well-formed files
+    **{f"evaluate-{kind}-{inner}": refusal("evaluate", lambda f, kind=kind, text=text: f.crafted(
+        kind, text), code, message)
+       for kind, code, message in (("config", 2, "invalid JSON"),
+                                   ("manifest", 2, "split manifest is not valid JSON"),
+                                   ("checkpoint", 1, "header is not valid JSON"))
+       for inner, text in CRAFTED_JSON.items()},
+    "evaluate-manifest-unknown-key": refusal("evaluate", lambda f: f.evaluate(
+        "--split-manifest", f.file("m.json", {**json.loads(f.manifest.read_text()),
+                                              "bogus_key": 1})), 2,
+        "unknown manifest key: bogus_key"),
+    "evaluate-checkpoint-zero-blocks": refusal("evaluate", lambda f: f.evaluate(
+        "--checkpoint", f.best(b'"num_blocks":2', b'"num_blocks":0')), 1, "num_blocks"),
+    "evaluate-checkpoint-stem-channel-zero": refusal("evaluate", lambda f: f.evaluate(
+        "--checkpoint", f.best(b'"stem_channels":[8,8,16]', b'"stem_channels":[8,0,16]')), 1,
+        "stem_channels"),
+    "evaluate-checkpoint-stem-9-units": refusal("evaluate", lambda f: f.evaluate(
+        "--checkpoint", f.file("s.ckpt", _ckpt(STEM9))), 1, "at most 8 units"),
+    "evaluate-checkpoint-head-4096x8": refusal("evaluate", lambda f: f.evaluate(
+        "--checkpoint", f.file("h.ckpt", _ckpt(HEAD_4096X8))), 1, "entry 0: name is 'w'"),
+    **{f"{command}-init-backbone-mismatched": refusal(command, lambda f, command=command:
+        getattr(f, command)("--init-backbone", f.wide()), 1, "has shape")
+       for command in ("train", "sweep")},
+    "detect-xml-cascade-malformed": refusal("detect", lambda f: f.detect("--cascade", f.file(
+        "c.xml", "<opencv_storage><cascade></cascade></opencv_storage>")), 1,
+        "/opencv_storage/cascade"),
+    "detect-json-cascade-infinite-threshold": refusal("detect", lambda f: f.detect(
+        "--cascade", f.infinite_threshold()), 1, "stages[0].stage_threshold: "),
+    "detect-ppm-4mb-header-token": refusal("detect", lambda f: f.detect("--image", f.file(
+        "i.ppm", b"P6\n" + b"9" * 4_000_000 + b"x 1\n255\n")), 1, "expected width at byte 3"),
+    "detect-scale-factor-near-one": refusal("detect", lambda f: f.detect(  # ~200k scales
+        "--image", f.file("i.ppm", b"P6\n24 24\n255\n" + bytes([90]) * 24 * 24 * 3),
+        "--detect.scale_factor", "1.0000001"), 2, "scale_factor"),
+    **{f"annotate-same-file-{out}-{json_out}": refusal(
+        "annotate", lambda f, out=out, json_out=json_out: f.same_file(out, json_out), 2,
+        "the --json-out file would overwrite the --out image")
+       for out, json_out in [("faces.json", None), ("a.ppm", "a.ppm"),
+                             ("./a.ppm", "a.ppm"),          # compared as resolved paths
+                             ("sub/../a.ppm", "./a.ppm"),
+                             ("link/a.ppm", "sub/a.ppm")]},  # one file through a symlink
+}
+
+
+@pytest.fixture
+def inputs(corpus, four_per_class, tiny_config, train_run, scene):
+    return Inputs(corpus, four_per_class, tiny_config, train_run, scene)
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_a_refusal_keeps_the_contract(name, inputs, tmp_path, monkeypatch, capsys):
+    row = REFUSALS[name]
+    monkeypatch.chdir(tmp_path)
+    argv = ([row.command] if row.command else []) + row.args(inputs)
+    before = sorted(tmp_path.rglob("*"))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == row.code, err
+    lines = err.splitlines()
+    if lines[0].startswith("usage: "):  # argparse: its usage, then "<prog>: error: ..."
+        prog, _, error = lines[-1].partition(": ")
+        assert prog.startswith("maskdetect") and all(line.startswith(" ") for line in lines[1:-1])
+        lines = [error]
+    elif lines[0] == "error: config validation failed:":
+        assert all(line.startswith("  ") for line in lines[1:]), err
+        assert err.count("config validation failed") == 1
+        lines = lines[:1]
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    assert all(fragment in err for fragment in row.fragments), err
+    assert not any(fragment in err for fragment in row.absent)
+    outputs = [argv[i + 1] for i, flag in enumerate(argv[:-1]) if flag in ("--out", "--json-out")]
+    assert not any(os.path.lexists(path) for path in outputs)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_every_subcommand_has_a_refusal_and_every_refusal_a_subcommand():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert {row.command for row in REFUSALS.values()} - {None} == set(commands)

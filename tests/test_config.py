@@ -217,106 +217,6 @@ def inputs(tmp_path_factory):
     return root
 
 
-BAD_CONFIGS = [
-    ({"train": {"batch_size": "16"}}, "train.batch_size"),
-    ({"train": {"augment": {"zoom_range": 5}}}, "train.augment.zoom_range"),
-    ({"backbone": {"stem_channels": 5}}, "backbone.stem_channels"),
-    ({"train": {"augment": {"rotation_max_deg": "a"}}}, "train.augment.rotation_max_deg"),
-    ({"head": {"hidden_units": None}}, "head.hidden_units"),
-    ({"data": {"ratios": "abc"}}, "data.ratios"),
-    ({"data": {"split_seed": "x"}}, "data.split_seed"),
-    ({"train": {"seed": 1.5}}, "train.seed"),
-    ({"detect": {"step": "2"}}, "detect.step"),
-    ({"train": {"epochs_phase1": True}}, "train.epochs_phase1"),
-]
-
-
-@pytest.mark.parametrize("command", ["train", "detect"])
-@pytest.mark.parametrize("config, named", BAD_CONFIGS, ids=[n for _, n in BAD_CONFIGS])
-def test_wrong_typed_config_exits_two(inputs, tmp_path, capsys, command, config, named):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    if command == "train":
-        argv = ["train", "--data", str(inputs / "corpus"), "--out", str(tmp_path / "r")]
-    else:
-        argv = ["detect", "--image", str(inputs / "blank.ppm"), "--cascade", FIXTURE_XML,
-                "--out", str(tmp_path / "boxes.json")]
-    assert main(argv + ["--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "config validation failed" in err and named in err
-    assert not (tmp_path / "r").exists() and not (tmp_path / "boxes.json").exists()
-
-
-def test_unknown_key_and_wrong_type_in_one_message(inputs, tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"train": {"epochz": 1}, "detect": {"step": "2"}}))
-    code = main(["detect", "--image", str(inputs / "blank.ppm"), "--cascade", FIXTURE_XML,
-                 "--out", str(tmp_path / "b.json"), "--config", str(path),
-                 "--detect.min_size", "big"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("config validation failed") == 1
-    for named in ("unknown config key: train.epochz", "detect.step: expected an integer",
-                  "--detect.min_size: expected an integer, got 'big'"):
-        assert named in err
-
-
-CROSS_SECTION_CONFIGS = [
-    ({"backbone": {"num_blocks": 2, "factorized_blocks": [2]}, "train": {"unfreeze_last_k": 9}},
-     ["train.unfreeze_last_k=9 exceeds backbone.num_blocks=2"]),
-    ({"data": {"ratios": [0.5, 0.5, 0.5]}, "train": {"unfreeze_last_k": 9}},
-     ["data: ratios must sum to 1", "train.unfreeze_last_k=9 exceeds backbone.num_blocks=4"]),
-]
-
-
-@pytest.mark.parametrize("config, named", CROSS_SECTION_CONFIGS, ids=["unfreeze", "ratios"])
-def test_cross_section_problems_stop_train_before_any_output(inputs, tmp_path, capsys,
-                                                             config, named):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "r"
-    code = main(["train", "--data", str(inputs / "corpus"), "--out", str(out),
-                 "--config", str(path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("config validation failed") == 1
-    for problem in named:
-        assert problem in err
-    assert not (out / "config.json").exists() and not (out / "split.json").exists()
-
-
-HUGE = "1" + "0" * 400  # an integer past the float range
-
-
-def test_config_file_number_past_the_float_range_exits_two(inputs, tmp_path, capsys):
-    path = tmp_path / "huge.json"
-    path.write_text('{"train": {"lr_phase1": ' + HUGE + "}}")
-    code = main(["train", "--data", str(inputs / "corpus"), "--out", str(tmp_path / "r"),
-                 "--config", str(path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "train.lr_phase1: number out of range" in err and "0" * 50 not in err
-    assert not (tmp_path / "r").exists()
-
-
-def test_flag_number_past_the_float_range_exits_two(inputs, tmp_path, capsys):
-    code = main(["detect", "--image", str(inputs / "blank.ppm"), "--cascade", FIXTURE_XML,
-                 "--out", str(tmp_path / "boxes.json"), "--detect.min_size", HUGE])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "detect.min_size: number out of range" in err and "0" * 50 not in err
-    assert not (tmp_path / "boxes.json").exists()
-
-
-def test_flag_model_size_past_its_bound_exits_two(inputs, tmp_path, capsys):
-    code = main(["train", "--data", str(inputs / "corpus"), "--out", str(tmp_path / "r"),
-                 "--backbone.input_size", "1" + "0" * 30])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config validation failed" in err and "backbone: input_size must be in [8, 1024]" in err
-    assert not (tmp_path / "r").exists()
-
-
 LONG_KEY = "bogus_key_" + "x" * 100_000
 
 
