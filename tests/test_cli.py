@@ -334,6 +334,17 @@ def test_train_non_finite_loss_exits_one(corpus, tiny_config, tmp_path, capsys):
     assert not (tmp_path / "r" / "final.ckpt").exists()
 
 
+def test_train_refuses_an_empty_test_split_before_training(four_per_class, tiny_config,
+                                                           tmp_path, capsys):
+    # the row train-test-split-empty holds the message; here, no epoch ran first
+    code = main(["train", "--data", str(four_per_class), "--out", str(tmp_path / "run"),
+                 "--config", str(tiny_config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'test' split has 0 of the 12 samples" in captured.err
+    assert "epoch" not in captured.out
+
+
 def test_train_refuses_an_empty_val_split_unless_no_epoch_runs(four_per_class, tmp_path):
     # the refusal is the row train-val-split-empty; with no epoch to run, training needs no val
     config = json.loads(json.dumps(TINY_CONFIG))
@@ -385,6 +396,25 @@ def test_evaluate_reproduces_train_test_metrics(corpus, tiny_config, train_run, 
     assert evaluated["accuracy"] == trained["accuracy"]
     assert evaluated["classes"] == trained["classes"]
     assert (out / "report.txt").read_text() == (train_run / "report.txt").read_text()
+
+
+def test_evaluate_names_an_empty_split(four_per_class, train_run, tmp_path, capsys):
+    # the row evaluate-val-split-empty holds the contract; here, each split is named
+    for split in ("val", "test"):
+        code = main(["evaluate", "--data", str(four_per_class),
+                     "--checkpoint", str(train_run / "best.ckpt"),
+                     "--out", str(tmp_path / split), "--split", split])
+        assert code == 2
+        assert f"'{split}' split has 0 of the 12 samples" in capsys.readouterr().err
+
+
+def test_evaluate_missing_checkpoint_fails(corpus, tmp_path, capsys):
+    # the row evaluate-checkpoint-missing holds the contract; here, the path is named
+    missing = tmp_path / "nope.ckpt"
+    code = main(["evaluate", "--data", str(corpus), "--checkpoint", str(missing),
+                 "--out", str(tmp_path / "e")])
+    assert code == 1
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_evaluate_split_manifest_ignores_data_root_spelling(corpus, tiny_config, tmp_path,
